@@ -12,8 +12,10 @@
 //! * `incremental`   — absorbing the same 100 answers with no rebuild at
 //!   all (the per-submit steady-state cost, for scale).
 //!
-//! * `parallel_full_tN` — the same full EM with the E-step split across
-//!   `N` scoped threads (`run_em_geometry_threads`); bit-identical
+//! * `parallel_full_tN` — the same full EM at `N` E-step threads
+//!   (`run_em_geometry_threads`): `t1` is the sequential sweep, every
+//!   `N ≥ 2` the two-thread side split (task side on the caller, worker
+//!   side on one helper), so `t4`/`t8` repeat `t2`; bit-identical
 //!   results, pure throughput.
 //!
 //! The committed baseline lives in `BENCH_em.json` at the repo root. With
@@ -25,12 +27,16 @@
 //! Environment knobs:
 //!
 //! * `EM_THREADS` — `max` resolves to the host's available parallelism,
-//!   a number pins the E-step thread count; absent means `1` (the
-//!   sequential baseline configuration). Applied to the online-model
-//!   rows (`dirty_set`, `incremental`) and the smoke gate.
+//!   a number pins the E-step thread count (a sweep uses at most two);
+//!   absent means `1` (the sequential baseline configuration). Applied to
+//!   the online-model rows (`dirty_set`, `incremental`) and the smoke
+//!   gate.
 //! * `EM_SWEEP=1` — additionally runs the policy-knob sweep
 //!   (`full_sweep_every`, `dirty_coverage_fallback`) and prints one JSON
 //!   line per configuration for `BENCH_em.json`'s sweep table.
+//! * `EM_FLOOR=1` — additionally prints the sequential vs side-split
+//!   per-iteration cost on short logs, the rows behind `BENCH_em.json`'s
+//!   `parallel_full.floor` table and `EmParallelism::SMALL_LOG_FLOOR`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -40,8 +46,8 @@ use crowd_core::model::{
     run_em_from_naive, run_em_geometry, run_em_geometry_threads, AnswerGeometry,
 };
 use crowd_core::{
-    synthetic_task, Answer, AnswerLog, EmConfig, EmParallelism, LabelBits, OnlineModel, TaskId,
-    TaskSet, UpdatePolicy, WorkerId,
+    synthetic_task, Answer, AnswerLog, EmConfig, EmParallelism, LabelBits, ModelParams,
+    OnlineModel, TaskId, TaskSet, UpdatePolicy, WorkerId,
 };
 use crowd_geo::Point;
 
@@ -284,7 +290,7 @@ fn bench_smoke_gate(_c: &mut Criterion) {
         );
     }
 
-    let threads = em_threads_from_env().resolve();
+    let threads = em_threads_from_env().sweep_threads();
     let sequential = (0..3).map(|_| time_parallel_rebuild(&p, 1)).min().unwrap();
     let parallel = (0..3)
         .map(|_| time_parallel_rebuild(&p, threads))
@@ -405,7 +411,7 @@ fn bench_knob_sweep(_c: &mut Criterion) {
     if full_ns.is_infinite() {
         let p = prepare_policy(4000, manual(60));
         full_ns = (0..3)
-            .map(|_| time_parallel_rebuild(&p, em_threads_from_env().resolve()))
+            .map(|_| time_parallel_rebuild(&p, em_threads_from_env().sweep_threads()))
             .min()
             .unwrap()
             .as_secs_f64()
@@ -423,5 +429,73 @@ fn bench_knob_sweep(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_em, bench_smoke_gate, bench_knob_sweep);
+/// Small-log floor probe (`EM_FLOOR=1`): the per-iteration cost of the
+/// sequential and the side-split full sweep on short prefixes of the
+/// synthetic stream, the two interleaved rep by rep so host drift hits
+/// both alike, printed as one JSON line per log size — the rows behind
+/// `BENCH_em.json`'s `parallel_full.floor` table and
+/// `EmParallelism::SMALL_LOG_FLOOR` (the smallest size where the split
+/// stops losing).
+fn bench_floor(_c: &mut Criterion) {
+    if std::env::var_os("EM_FLOOR").is_none() {
+        return;
+    }
+    const ITERATIONS: usize = 20;
+    const REPS: usize = 21;
+    let config = EmConfig {
+        tolerance: 0.0,
+        max_iterations: ITERATIONS,
+        ..EmConfig::default()
+    };
+    for size in [32, 64, 96, 128, 192, 256, 384, 512, 1000] {
+        let (tasks, mut log) = world();
+        let mut i = 0;
+        while log.len() < size {
+            // Repeated (worker, task) pairs are rejected; skip them.
+            let _ = log.push(&tasks, answer_at(i));
+            i += 1;
+        }
+        let geometry = AnswerGeometry::build(&tasks, &log, &config.fset);
+        let init = ModelParams::init(
+            &tasks,
+            log.n_workers(),
+            config.fset.len(),
+            config.init,
+            &log,
+        );
+        let mut ns = [Vec::new(), Vec::new()];
+        for _ in 0..REPS {
+            for (samples, threads) in ns.iter_mut().zip([1, 2]) {
+                let mut params = init.clone();
+                let start = Instant::now();
+                black_box(run_em_geometry_threads(
+                    &tasks,
+                    &log,
+                    &geometry,
+                    &config,
+                    &mut params,
+                    threads,
+                ));
+                #[allow(clippy::cast_precision_loss)]
+                samples.push(start.elapsed().as_secs_f64() * 1e9 / ITERATIONS as f64);
+            }
+        }
+        let [t1, t2] = ns.map(|mut v| {
+            v.sort_by(f64::total_cmp);
+            v[REPS / 2]
+        });
+        eprintln!(
+            "floor {{\"log_size\":{size},\"t1_ns_per_iter\":{t1:.0},\"t2_ns_per_iter\":{t2:.0},\"t1_over_t2\":{:.2}}}",
+            t1 / t2
+        );
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_em,
+    bench_smoke_gate,
+    bench_knob_sweep,
+    bench_floor
+);
 criterion_main!(benches);

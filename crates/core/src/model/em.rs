@@ -6,44 +6,51 @@
 //! * [`run_em`] / [`run_em_from`] / [`run_em_geometry`] — the production
 //!   path: per-answer terms come from an [`AnswerGeometry`] cache built once
 //!   at submit time, and the per-bit posterior uses the prepared factorised
-//!   form ([`factored_prepared`]) with all dot products hoisted to answer
-//!   level. Bit-identical to the naive path (the hoisted expressions are the
-//!   same arithmetic), just without the recomputation.
+//!   form (the arithmetic of
+//!   [`factored_prepared`](crate::model::posterior::factored_prepared))
+//!   with all dot products hoisted to answer level. Bit-identical to the
+//!   naive path (the hoisted expressions are the same arithmetic), just
+//!   without the recomputation.
 //! * [`run_em_naive`] / [`run_em_from_naive`] — the straightforward
 //!   per-bit [`factored`] sweep, kept as the reference implementation, the
 //!   equivalence-test oracle and the benchmark baseline.
 //!
-//! # Data-parallel E-step
+//! # Side-split E-step
 //!
-//! [`run_em_geometry_threads`] / [`run_em_geometry_pooled_threads`] split
-//! the answer log into fixed index-ordered chunks and compute every bit's
-//! posterior on `crossbeam::thread::scope` workers, each writing a disjoint
-//! slice of one flat buffer. Posteriors are pure functions of the (frozen)
-//! parameters, so the parallel phase is embarrassingly parallel; the
-//! *accumulation* into [`SufficientStats`] then runs sequentially in answer
-//! index order, performing exactly the floating-point additions of the
-//! sequential sweep. Results are therefore **bit-identical for every thread
-//! count and chunking** — enforced by `tests/parallel_equivalence.rs`
-//! against the naive oracle. `threads = 1` short-circuits to the original
-//! single-pass code path.
+//! [`run_em_geometry_threads`] / [`run_em_geometry_pooled_threads`] with two
+//! threads split each iteration by *side*, not by answers: the calling
+//! thread accumulates the task side of the statistics (`Σ P(z)`, `|W(t)|`,
+//! `Σ P(d_t)`) and one scoped helper, spawned once for the whole run, the
+//! worker side (`Σ P(i)`, bit counts, `Σ P(d_w)`). Both sweep every answer
+//! in answer order and compute the shared per-bit masses themselves, so
+//! every accumulator cell receives the same additions in the same order as
+//! the sequential sweep — results are **bit-identical by construction**.
+//! Each side then runs its own half of the M-step and its own part of the
+//! maximum parameter change (`max` is exact), and the two meet once per
+//! iteration to trade those changes. The crate-private `model::sweep`
+//! module holds the mechanics; `tests/parallel_equivalence.rs` enforces the
+//! identity against the naive oracle. `threads = 1` runs both sides in one
+//! pass on the calling thread.
 
 use crate::model::geometry::AnswerGeometry;
 use crate::model::gossip::{PeerStats, WorkerStatDelta};
-use crate::model::posterior::{
-    factored, factored_prepared, AnswerTerms, Posterior, PosteriorInputs,
-};
+use crate::model::params::{TaskParams, WorkerParams};
+use crate::model::posterior::{factored, Posterior, PosteriorInputs};
+use crate::model::sweep::{self, Llh, Params, Scratch, Step, TaskSide, WorkerSide};
 use crate::model::{InitStrategy, ModelParams};
 use crate::prob;
 use crate::{Answer, AnswerLog, DistanceFunctionSet, TaskId, TaskSet, WorkerId};
 
-/// How many worker threads the EM sweeps (and the ACCOPT candidate scorer)
-/// may use.
+/// How many threads the EM sweeps (and the ACCOPT candidate scorer) may
+/// use.
 ///
 /// `Auto` resolves to the machine's available parallelism at run time;
-/// `Fixed(1)` is exactly today's sequential code path. Snapshots persist
-/// the knob (absent ⇒ `Fixed(1)` for back-compat with pre-parallel
-/// documents); results are bit-identical across settings, so the knob is a
-/// pure throughput choice.
+/// `Fixed(1)` is the sequential sweep. An EM sweep uses at most
+/// [`EmParallelism::MAX_SWEEP_THREADS`] threads — the side split has two
+/// sides — while ACCOPT scoring uses the full [`EmParallelism::resolve`]
+/// count. Snapshots persist the knob (absent ⇒ `Fixed(1)` for back-compat
+/// with pre-parallel documents); results are bit-identical across
+/// settings, so the knob is a pure throughput choice.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EmParallelism {
@@ -55,13 +62,21 @@ pub enum EmParallelism {
 }
 
 impl EmParallelism {
-    /// Logs smaller than this run sequentially regardless of the requested
-    /// parallelism: thread spawn/join overhead dwarfs the sweep itself.
+    /// Sweeps over fewer answers than this run sequentially regardless of
+    /// the requested parallelism: below it, the helper thread's start and
+    /// its meeting with the caller every iteration cost more than its half
+    /// of the sweep saves. Measured as the t1/t2 crossover of the
+    /// side-split full sweep on a 2-vCPU host (the `em` bench's `EM_FLOOR=1`
+    /// rows, recorded in `BENCH_em.json` → `parallel_full.floor`).
     /// [`run_em_geometry_threads`] honours its `threads` argument literally
-    /// (so equivalence tests can exercise the parallel path on tiny logs);
-    /// the floor is applied by [`EmParallelism::effective`], which the
+    /// (so equivalence tests can exercise the split on tiny logs); the
+    /// floor is applied by [`EmParallelism::effective`], which the
     /// [`OnlineModel`](crate::OnlineModel) calls per rebuild.
-    pub const SMALL_LOG_FLOOR: usize = 64;
+    pub const SMALL_LOG_FLOOR: usize = 192;
+
+    /// Most threads an EM sweep uses: the task side on the calling thread
+    /// and the worker side on one helper.
+    pub const MAX_SWEEP_THREADS: usize = 2;
 
     /// The configured thread count, with `Auto` resolved against the host.
     #[must_use]
@@ -72,15 +87,22 @@ impl EmParallelism {
         }
     }
 
+    /// The thread count an EM sweep uses: [`EmParallelism::resolve`]
+    /// capped at [`EmParallelism::MAX_SWEEP_THREADS`].
+    #[must_use]
+    pub fn sweep_threads(self) -> usize {
+        self.resolve().min(Self::MAX_SWEEP_THREADS)
+    }
+
     /// The thread count actually worth using for a sweep over `n_answers`:
-    /// [`EmParallelism::resolve`] capped by the answer count, floored to 1
-    /// below [`EmParallelism::SMALL_LOG_FLOOR`] answers.
+    /// [`EmParallelism::sweep_threads`], floored to 1 below
+    /// [`EmParallelism::SMALL_LOG_FLOOR`] answers.
     #[must_use]
     pub fn effective(self, n_answers: usize) -> usize {
         if n_answers < Self::SMALL_LOG_FLOOR {
             1
         } else {
-            self.resolve().min(n_answers)
+            self.sweep_threads()
         }
     }
 }
@@ -138,6 +160,18 @@ pub struct EmReport {
     pub log_likelihood_history: Vec<f64>,
 }
 
+impl EmReport {
+    /// Records one finished iteration; returns `true` (and marks the run
+    /// converged) when `delta` reached `tolerance`.
+    pub(crate) fn record(&mut self, delta: f64, log_likelihood: f64, tolerance: f64) -> bool {
+        self.iterations += 1;
+        self.max_delta_history.push(delta);
+        self.log_likelihood_history.push(log_likelihood);
+        self.converged = delta <= tolerance;
+        self.converged
+    }
+}
+
 /// Per-parameter accumulators for the M-step (Equation 14).
 ///
 /// The M-step sets every parameter to the mean of the corresponding marginal
@@ -150,120 +184,64 @@ pub struct EmReport {
 /// (The paper's printed denominator for `P(d_t)` is a worker-side copy;
 /// see DESIGN.md §6.1 for why the task-side denominator is the correct one.)
 ///
+/// The accumulators are stored as a task side and a worker side that no
+/// cell straddles: each M-step half reads only its own side, which is what
+/// lets the side-split E-step accumulate them on two threads.
+///
 /// The incremental EM (Section III-D) reuses these accumulators: a new
 /// answer's posterior is *added* and only the affected parameters recomputed.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SufficientStats {
     n_funcs: usize,
-    /// Σ `P(z=1|r)` per flat label slot.
-    z_sum: Vec<f64>,
-    /// Number of answers per task (`|W(t)|`).
-    task_answers: Vec<u32>,
-    /// Σ `P(i=1|r)` per worker.
-    i_sum: Vec<f64>,
-    /// Number of answer bits per worker (`Σ_{t∈T(w)} |L_t|`).
-    worker_bits: Vec<u32>,
-    /// Σ `P(dw=j|r)` per worker × function.
-    dw_sum: Vec<f64>,
-    /// Σ `P(dt=j|r)` per task × function.
-    dt_sum: Vec<f64>,
+    task: TaskStats,
+    worker: WorkerStats,
 }
 
-impl SufficientStats {
-    /// Zeroed accumulators for the given shapes.
-    #[must_use]
-    pub fn new(tasks: &TaskSet, n_workers: usize, n_funcs: usize) -> Self {
-        Self {
-            n_funcs,
-            z_sum: vec![0.0; tasks.total_labels()],
-            task_answers: vec![0; tasks.len()],
-            i_sum: vec![0.0; n_workers],
-            worker_bits: vec![0; n_workers],
-            dw_sum: vec![0.0; n_workers * n_funcs],
-            dt_sum: vec![0.0; tasks.len() * n_funcs],
-        }
-    }
+/// The task side of [`SufficientStats`].
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub(crate) struct TaskStats {
+    pub(crate) n_funcs: usize,
+    /// Σ `P(z=1|r)` per flat label slot.
+    pub(crate) z_sum: Vec<f64>,
+    /// Number of answers per task (`|W(t)|`).
+    pub(crate) task_answers: Vec<u32>,
+    /// Σ `P(dt=j|r)` per task × function.
+    pub(crate) dt_sum: Vec<f64>,
+}
 
-    /// Resets all accumulators to zero.
-    pub fn clear(&mut self) {
+/// The worker side of [`SufficientStats`].
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub(crate) struct WorkerStats {
+    pub(crate) n_funcs: usize,
+    /// Σ `P(i=1|r)` per worker.
+    pub(crate) i_sum: Vec<f64>,
+    /// Number of answer bits per worker (`Σ_{t∈T(w)} |L_t|`).
+    pub(crate) worker_bits: Vec<u32>,
+    /// Σ `P(dw=j|r)` per worker × function.
+    pub(crate) dw_sum: Vec<f64>,
+}
+
+impl TaskStats {
+    fn clear(&mut self) {
         self.z_sum.fill(0.0);
         self.task_answers.fill(0);
-        self.i_sum.fill(0.0);
-        self.worker_bits.fill(0);
-        self.dw_sum.fill(0.0);
         self.dt_sum.fill(0.0);
     }
 
-    /// Grows the worker-side accumulators for newly registered workers.
-    pub fn ensure_workers(&mut self, n_workers: usize) {
-        if n_workers * self.n_funcs > self.dw_sum.len() {
-            self.i_sum.resize(n_workers, 0.0);
-            self.worker_bits.resize(n_workers, 0);
-            self.dw_sum.resize(n_workers * self.n_funcs, 0.0);
-        }
-    }
-
-    /// Marks one answer (all of its label bits will follow via
-    /// [`SufficientStats::add_label_bit`]).
-    pub fn add_answer(&mut self, task: TaskId, worker: WorkerId, n_labels: usize) {
-        self.task_answers[task.index()] += 1;
-        self.worker_bits[worker.index()] += n_labels as u32;
-    }
-
-    /// Accumulates the posterior of one answer bit.
-    pub fn add_label_bit(
-        &mut self,
-        slot: usize,
-        task: TaskId,
-        worker: WorkerId,
-        posterior: &Posterior,
-    ) {
-        self.z_sum[slot] += posterior.z1;
-        self.i_sum[worker.index()] += posterior.i1;
-        let wb = worker.index() * self.n_funcs;
-        let tb = task.index() * self.n_funcs;
-        for j in 0..self.n_funcs {
-            self.dw_sum[wb + j] += posterior.dw[j];
-            self.dt_sum[tb + j] += posterior.dt[j];
-        }
-    }
-
-    /// Removes one answer's previously accumulated posterior contribution
-    /// (all of its label bits at once), leaving the answer *counts*
-    /// untouched — the answer is still in the log, only its posterior is
-    /// about to be recomputed.
-    ///
-    /// `z1[k]` must be the total `P(z=1|r)` that was added to slot
-    /// `base + k`; `i1`, `dw` and `dt` the per-answer sums over bits. The
-    /// dirty-set EM uses this to re-sweep an answer in place: subtract the
-    /// cached contribution, recompute under current parameters, re-add.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sub_answer_contrib(
-        &mut self,
-        base: usize,
-        task: TaskId,
-        worker: WorkerId,
-        z1: &[f64],
-        i1: f64,
-        dw: &[f64],
-        dt: &[f64],
-    ) {
-        for (k, &z) in z1.iter().enumerate() {
-            self.z_sum[base + k] -= z;
-        }
-        self.i_sum[worker.index()] -= i1;
-        let wb = worker.index() * self.n_funcs;
-        let tb = task.index() * self.n_funcs;
-        for j in 0..self.n_funcs {
-            self.dw_sum[wb + j] -= dw[j];
-            self.dt_sum[tb + j] -= dt[j];
+    /// Resets to `baseline` (a pruned shard's frozen prefix) or to zero.
+    pub(crate) fn reset_from(&mut self, baseline: Option<&Self>) {
+        match baseline {
+            Some(b) => self.clone_from(b),
+            None => self.clear(),
         }
     }
 
     /// Writes the task-side parameters of `t` (its `P(z)` row and `P(d_t)`
-    /// mixture) from the accumulators. No-op when the task has no answers.
-    pub fn apply_task(&self, params: &mut ModelParams, tasks: &TaskSet, t: TaskId) {
+    /// mixture). No-op when the task has no answers.
+    pub(crate) fn apply(&self, params: &mut TaskParams, tasks: &TaskSet, t: TaskId) {
         let n_answers = self.task_answers[t.index()];
         if n_answers == 0 {
             return;
@@ -284,21 +262,67 @@ impl SufficientStats {
         }
     }
 
-    /// Writes the worker-side parameters of `w` (`P(i_w)` and the `P(d_w)`
-    /// mixture). No-op when the worker has no answers.
-    pub fn apply_worker(&self, params: &mut ModelParams, w: WorkerId) {
-        self.apply_worker_pooled(params, w, PeerStats::empty_ref());
+    /// The task half of the full M-step.
+    pub(crate) fn apply_all(&self, params: &mut TaskParams, tasks: &TaskSet) {
+        for t in tasks.ids() {
+            self.apply(params, tasks, t);
+        }
     }
 
-    /// The pooled worker M-step: `P(i_w)` and `P(d_w)` from this
-    /// framework's own accumulators *plus* the peer aggregate, divided by
-    /// the pooled bit count. With an empty peer table this is bit-identical
-    /// to [`SufficientStats::apply_worker`] (the peer terms add exact
-    /// zeros); with gossip data it is exactly the M-step a single
-    /// framework holding the union of the answers would perform, modulo
-    /// floating-point summation order. No-op when nobody (local or peer)
-    /// has bits for the worker.
-    pub fn apply_worker_pooled(&self, params: &mut ModelParams, w: WorkerId, peers: &PeerStats) {
+    /// [`TaskStats::apply`] returning the largest absolute change of the
+    /// parameters it wrote; `old` is scratch.
+    pub(crate) fn apply_tracked(
+        &self,
+        params: &mut TaskParams,
+        tasks: &TaskSet,
+        t: TaskId,
+        old: &mut Vec<f64>,
+    ) -> f64 {
+        let base = tasks.label_offset(t);
+        let n_labels = tasks.n_labels(t);
+        old.clear();
+        old.extend((0..n_labels).map(|k| params.z_slot(base + k)));
+        old.extend_from_slice(params.dt(t));
+        self.apply(params, tasks, t);
+        let mut delta = 0.0_f64;
+        for (k, &prev) in old[..n_labels].iter().enumerate() {
+            delta = delta.max((params.z_slot(base + k) - prev).abs());
+        }
+        for (j, &prev) in old[n_labels..].iter().enumerate() {
+            delta = delta.max((params.dt(t)[j] - prev).abs());
+        }
+        delta
+    }
+}
+
+impl WorkerStats {
+    fn clear(&mut self) {
+        self.i_sum.fill(0.0);
+        self.worker_bits.fill(0);
+        self.dw_sum.fill(0.0);
+    }
+
+    fn ensure(&mut self, n_workers: usize) {
+        if n_workers * self.n_funcs > self.dw_sum.len() {
+            self.i_sum.resize(n_workers, 0.0);
+            self.worker_bits.resize(n_workers, 0);
+            self.dw_sum.resize(n_workers * self.n_funcs, 0.0);
+        }
+    }
+
+    /// Resets to `baseline` (a pruned shard's frozen prefix) or to zero,
+    /// covering at least `n_workers` workers.
+    pub(crate) fn reset_from(&mut self, baseline: Option<&Self>, n_workers: usize) {
+        match baseline {
+            Some(b) => self.clone_from(b),
+            None => self.clear(),
+        }
+        self.ensure(n_workers);
+    }
+
+    /// The pooled worker M-step for `w`: see
+    /// [`SufficientStats::apply_worker_pooled`].
+    pub(crate) fn apply_pooled(&self, params: &mut WorkerParams, w: WorkerId, peers: &PeerStats) {
         let own_bits = self.worker_bits.get(w.index()).copied().unwrap_or(0);
         let bits = u64::from(own_bits) + peers.bits(w.index());
         if bits == 0 {
@@ -318,6 +342,160 @@ impl SufficientStats {
         prob::normalize_simplex(dst);
     }
 
+    /// The worker half of the full M-step: every worker either this
+    /// framework or a peer knows about.
+    pub(crate) fn apply_all_pooled(&self, params: &mut WorkerParams, peers: &PeerStats) {
+        for w in 0..self.i_sum.len().max(peers.n_workers()) {
+            self.apply_pooled(params, WorkerId::from_index(w), peers);
+        }
+    }
+
+    /// [`WorkerStats::apply_pooled`] returning the largest absolute change
+    /// of the parameters it wrote; `old` is scratch.
+    pub(crate) fn apply_tracked(
+        &self,
+        params: &mut WorkerParams,
+        w: WorkerId,
+        peers: &PeerStats,
+        old: &mut Vec<f64>,
+    ) -> f64 {
+        old.clear();
+        old.push(params.inherent(w));
+        old.extend_from_slice(params.dw(w));
+        self.apply_pooled(params, w, peers);
+        let mut delta = (params.inherent(w) - old[0]).abs();
+        for (j, &prev) in old[1..].iter().enumerate() {
+            delta = delta.max((params.dw(w)[j] - prev).abs());
+        }
+        delta
+    }
+}
+
+impl SufficientStats {
+    /// Zeroed accumulators for the given shapes.
+    #[must_use]
+    pub fn new(tasks: &TaskSet, n_workers: usize, n_funcs: usize) -> Self {
+        Self {
+            n_funcs,
+            task: TaskStats {
+                n_funcs,
+                z_sum: vec![0.0; tasks.total_labels()],
+                task_answers: vec![0; tasks.len()],
+                dt_sum: vec![0.0; tasks.len() * n_funcs],
+            },
+            worker: WorkerStats {
+                n_funcs,
+                i_sum: vec![0.0; n_workers],
+                worker_bits: vec![0; n_workers],
+                dw_sum: vec![0.0; n_workers * n_funcs],
+            },
+        }
+    }
+
+    /// Resets all accumulators to zero.
+    pub fn clear(&mut self) {
+        self.task.clear();
+        self.worker.clear();
+    }
+
+    /// Grows the worker-side accumulators for newly registered workers.
+    pub fn ensure_workers(&mut self, n_workers: usize) {
+        self.worker.ensure(n_workers);
+    }
+
+    /// Resets to `baseline` (or zero) covering at least `n_workers`.
+    pub(crate) fn reset_from(&mut self, baseline: Option<&Self>, n_workers: usize) {
+        self.task.reset_from(baseline.map(|b| &b.task));
+        self.worker
+            .reset_from(baseline.map(|b| &b.worker), n_workers);
+    }
+
+    /// The two sides, borrowed apart.
+    pub(crate) fn sides_mut(&mut self) -> (&mut TaskStats, &mut WorkerStats) {
+        (&mut self.task, &mut self.worker)
+    }
+
+    /// Marks one answer (all of its label bits will follow via
+    /// [`SufficientStats::add_label_bit`]).
+    pub fn add_answer(&mut self, task: TaskId, worker: WorkerId, n_labels: usize) {
+        self.task.task_answers[task.index()] += 1;
+        self.worker.worker_bits[worker.index()] += n_labels as u32;
+    }
+
+    /// Accumulates the posterior of one answer bit.
+    pub fn add_label_bit(
+        &mut self,
+        slot: usize,
+        task: TaskId,
+        worker: WorkerId,
+        posterior: &Posterior,
+    ) {
+        self.task.z_sum[slot] += posterior.z1;
+        self.worker.i_sum[worker.index()] += posterior.i1;
+        let wb = worker.index() * self.n_funcs;
+        let tb = task.index() * self.n_funcs;
+        for j in 0..self.n_funcs {
+            self.worker.dw_sum[wb + j] += posterior.dw[j];
+            self.task.dt_sum[tb + j] += posterior.dt[j];
+        }
+    }
+
+    /// Removes one answer's previously accumulated posterior contribution
+    /// (all of its label bits at once), leaving the answer *counts*
+    /// untouched — the answer is still in the log, only its posterior is
+    /// about to be recomputed.
+    ///
+    /// `z1[k]` must be the total `P(z=1|r)` that was added to slot
+    /// `base + k`; `i1`, `dw` and `dt` the per-answer sums over bits. The
+    /// dirty-set EM performs the same subtraction side by side before it
+    /// re-adds an answer under current parameters.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sub_answer_contrib(
+        &mut self,
+        base: usize,
+        task: TaskId,
+        worker: WorkerId,
+        z1: &[f64],
+        i1: f64,
+        dw: &[f64],
+        dt: &[f64],
+    ) {
+        for (k, &z) in z1.iter().enumerate() {
+            self.task.z_sum[base + k] -= z;
+        }
+        self.worker.i_sum[worker.index()] -= i1;
+        let wb = worker.index() * self.n_funcs;
+        let tb = task.index() * self.n_funcs;
+        for j in 0..self.n_funcs {
+            self.worker.dw_sum[wb + j] -= dw[j];
+            self.task.dt_sum[tb + j] -= dt[j];
+        }
+    }
+
+    /// Writes the task-side parameters of `t` (its `P(z)` row and `P(d_t)`
+    /// mixture) from the accumulators. No-op when the task has no answers.
+    pub fn apply_task(&self, params: &mut ModelParams, tasks: &TaskSet, t: TaskId) {
+        self.task.apply(params.halves_mut().0, tasks, t);
+    }
+
+    /// Writes the worker-side parameters of `w` (`P(i_w)` and the `P(d_w)`
+    /// mixture). No-op when the worker has no answers.
+    pub fn apply_worker(&self, params: &mut ModelParams, w: WorkerId) {
+        self.apply_worker_pooled(params, w, PeerStats::empty_ref());
+    }
+
+    /// The pooled worker M-step: `P(i_w)` and `P(d_w)` from this
+    /// framework's own accumulators *plus* the peer aggregate, divided by
+    /// the pooled bit count. With an empty peer table this is bit-identical
+    /// to [`SufficientStats::apply_worker`] (the peer terms add exact
+    /// zeros); with gossip data it is exactly the M-step a single
+    /// framework holding the union of the answers would perform, modulo
+    /// floating-point summation order. No-op when nobody (local or peer)
+    /// has bits for the worker.
+    pub fn apply_worker_pooled(&self, params: &mut ModelParams, w: WorkerId, peers: &PeerStats) {
+        self.worker.apply_pooled(params.halves_mut().1, w, peers);
+    }
+
     /// Full M-step: writes every parameter with a non-zero denominator.
     pub fn apply_all(&self, params: &mut ModelParams, tasks: &TaskSet) {
         self.apply_all_pooled(params, tasks, PeerStats::empty_ref());
@@ -328,12 +506,9 @@ impl SufficientStats {
     /// answers still gets a pooled quality estimate, which the assigner
     /// reads).
     pub fn apply_all_pooled(&self, params: &mut ModelParams, tasks: &TaskSet, peers: &PeerStats) {
-        for t in tasks.ids() {
-            self.apply_task(params, tasks, t);
-        }
-        for w in 0..self.i_sum.len().max(peers.n_workers()) {
-            self.apply_worker_pooled(params, WorkerId::from_index(w), peers);
-        }
+        let (task_params, worker_params) = params.halves_mut();
+        self.task.apply_all(task_params, tasks);
+        self.worker.apply_all_pooled(worker_params, peers);
     }
 
     /// Extracts the worker-side accumulators as a publishable
@@ -346,16 +521,16 @@ impl SufficientStats {
             source,
             version,
             n_funcs: self.n_funcs,
-            i_sum: self.i_sum.clone(),
-            worker_bits: self.worker_bits.clone(),
-            dw_sum: self.dw_sum.clone(),
+            i_sum: self.worker.i_sum.clone(),
+            worker_bits: self.worker.worker_bits.clone(),
+            dw_sum: self.worker.dw_sum.clone(),
         }
     }
 
     /// `|W(t)|` as accumulated.
     #[must_use]
     pub fn task_answer_count(&self, t: TaskId) -> u32 {
-        self.task_answers[t.index()]
+        self.task.task_answers[t.index()]
     }
 
     /// Number of distance functions the accumulators are shaped for.
@@ -367,37 +542,37 @@ impl SufficientStats {
     /// Σ `P(z=1|r)` per flat label slot.
     #[must_use]
     pub fn z_sum(&self) -> &[f64] {
-        &self.z_sum
+        &self.task.z_sum
     }
 
     /// Answers per task.
     #[must_use]
     pub fn task_answers(&self) -> &[u32] {
-        &self.task_answers
+        &self.task.task_answers
     }
 
     /// Σ `P(i=1|r)` per worker.
     #[must_use]
     pub fn i_sum(&self) -> &[f64] {
-        &self.i_sum
+        &self.worker.i_sum
     }
 
     /// Answer bits per worker.
     #[must_use]
     pub fn worker_bits(&self) -> &[u32] {
-        &self.worker_bits
+        &self.worker.worker_bits
     }
 
     /// Σ `P(dw=j|r)` per worker × function.
     #[must_use]
     pub fn dw_sum(&self) -> &[f64] {
-        &self.dw_sum
+        &self.worker.dw_sum
     }
 
     /// Σ `P(dt=j|r)` per task × function.
     #[must_use]
     pub fn dt_sum(&self) -> &[f64] {
-        &self.dt_sum
+        &self.task.dt_sum
     }
 
     /// Rebuilds accumulators from persisted parts (a pruned shard's frozen
@@ -423,12 +598,18 @@ impl SufficientStats {
         }
         Some(Self {
             n_funcs,
-            z_sum,
-            task_answers,
-            i_sum,
-            worker_bits,
-            dw_sum,
-            dt_sum,
+            task: TaskStats {
+                n_funcs,
+                z_sum,
+                task_answers,
+                dt_sum,
+            },
+            worker: WorkerStats {
+                n_funcs,
+                i_sum,
+                worker_bits,
+                dw_sum,
+            },
         })
     }
 }
@@ -558,15 +739,14 @@ pub fn run_em_geometry_pooled(
     run_em_geometry_pooled_threads(tasks, log, geometry, config, params, peers, 1)
 }
 
-/// [`run_em_geometry`] with the E-step split across `threads` scoped
-/// workers. Bit-identical to the sequential path for every thread count
-/// (see the module docs); `threads <= 1` takes the original single-pass
-/// code path with zero overhead.
+/// [`run_em_geometry`] with the E-step split across `threads`: `1` runs the
+/// sequential sweep, anything more the two-thread side split (see the
+/// module docs). Bit-identical to the sequential path for every thread
+/// count.
 ///
 /// The thread count is honoured literally (no small-log floor) so that
-/// equivalence tests can drive the parallel machinery over tiny and
-/// degenerate chunkings; production callers go through
-/// [`EmParallelism::effective`].
+/// equivalence tests can drive the side split over tiny and degenerate
+/// logs; production callers go through [`EmParallelism::effective`].
 ///
 /// # Panics
 /// Panics if `geometry` does not cover exactly the answers of `log`.
@@ -589,9 +769,9 @@ pub fn run_em_geometry_threads(
     )
 }
 
-/// [`run_em_geometry_pooled`] with the E-step split across `threads`
-/// scoped workers — the most general EM entry point. See
-/// [`run_em_geometry_threads`] for the parallel semantics.
+/// [`run_em_geometry_pooled`] with the E-step split across `threads` — the
+/// most general EM entry point. See [`run_em_geometry_threads`] for the
+/// parallel semantics.
 ///
 /// # Panics
 /// Panics if `geometry` does not cover exactly the answers of `log`.
@@ -652,276 +832,163 @@ pub fn run_em_geometry_pooled_threads_from(
     }
     let n_workers = log.n_workers().max(peers.n_workers());
     params.ensure_workers(n_workers);
-
-    let mut stats = SufficientStats::new(tasks, n_workers, config.fset.len());
-    let mut scratch = Posterior::zeros(config.fset.len());
-    let mut terms = AnswerTerms::zeros(config.fset.len());
-    let mut previous = params.clone();
-    // Flat posterior buffer for the parallel E-step, allocated once and
-    // reused across iterations (unused on the sequential path).
-    let mut buf = Vec::new();
-
-    for _ in 0..config.max_iterations {
-        match baseline {
-            Some(b) => {
-                stats.clone_from(b);
-                stats.ensure_workers(n_workers);
-            }
-            None => stats.clear(),
-        }
-        let log_likelihood = if threads <= 1 {
-            estep_full(
-                log,
-                geometry,
-                config,
-                params,
-                &mut stats,
-                &mut terms,
-                &mut scratch,
-            )
-        } else {
-            fill_posteriors_par(log, geometry, config, params, threads, &mut buf);
-            estep_reduce(log, geometry, config, &mut stats, &mut scratch, &buf)
-        };
-
-        // M-step (worker side pooled with whatever the peers contributed).
-        stats.apply_all_pooled(params, tasks, peers);
-        debug_assert!(params.check_invariants());
-
-        let delta = params.max_abs_diff(&previous);
-        previous.clone_from(params);
-        report.iterations += 1;
-        report.max_delta_history.push(delta);
-        report.log_likelihood_history.push(log_likelihood);
-        if delta <= config.tolerance {
-            report.converged = true;
-            break;
-        }
+    let run = EmRun {
+        tasks,
+        log,
+        geometry,
+        config,
+        peers,
+        baseline,
+        n_workers,
+    };
+    if threads > 1 {
+        run.side_split(params, &mut report);
+    } else {
+        run.sequential(params, &mut report);
     }
     report
 }
 
-/// Slots per label bit in the flat posterior buffer:
-/// `[z1, i1, ln(max(likelihood, EPS)), dw[0..n_funcs], dt[0..n_funcs]]`.
-///
-/// The log-likelihood term is computed in the parallel phase so the
-/// sequential reduce adds exactly the values (in exactly the order) the
-/// sequential sweep would.
-pub(crate) fn posterior_stride(n_funcs: usize) -> usize {
-    3 + 2 * n_funcs
+/// The inputs of one full-sweep EM run.
+struct EmRun<'a> {
+    tasks: &'a TaskSet,
+    log: &'a AnswerLog,
+    geometry: &'a AnswerGeometry,
+    config: &'a EmConfig,
+    peers: &'a PeerStats,
+    baseline: Option<&'a SufficientStats>,
+    n_workers: usize,
 }
 
-/// Computes the posteriors of one answer's label bits into `out`
-/// (`bits.len() * stride` slots) — the per-answer body of [`estep_full`]
-/// minus the accumulation.
-#[allow(clippy::too_many_arguments)] // internal per-answer kernel; grouping would add a struct per call
-fn fill_answer_posteriors(
-    answer: &Answer,
-    i: usize,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &ModelParams,
-    terms: &mut AnswerTerms,
-    scratch: &mut Posterior,
-    out: &mut [f64],
-) {
-    let n_funcs = config.fset.len();
-    let stride = posterior_stride(n_funcs);
-    let base = geometry.base(i);
-    let pdw = params.dw(answer.worker);
-    let pdt = params.dt(answer.task);
-    terms.prepare(pdw, pdt, geometry.fvals(i), config.alpha);
-    let pi1 = params.inherent(answer.worker);
-    for (k, r) in answer.bits.iter().enumerate() {
-        factored_prepared(terms, pdw, pdt, params.z_slot(base + k), pi1, r, scratch);
-        let slot = &mut out[k * stride..(k + 1) * stride];
-        slot[0] = scratch.z1;
-        slot[1] = scratch.i1;
-        slot[2] = scratch.likelihood.max(prob::EPS).ln();
-        slot[3..3 + n_funcs].copy_from_slice(&scratch.dw);
-        slot[3 + n_funcs..3 + 2 * n_funcs].copy_from_slice(&scratch.dt);
+impl EmRun<'_> {
+    fn new_stats(&self) -> SufficientStats {
+        SufficientStats::new(self.tasks, self.n_workers, self.config.fset.len())
     }
-}
 
-/// Parallel phase of the data-parallel E-step: computes the posterior of
-/// every answer bit in `log` into `buf` (resized to `total_bits * stride`),
-/// split over `threads` scoped workers in fixed index-ordered chunks.
-/// Posteriors depend only on the frozen `params`, so each chunk writes a
-/// disjoint `split_at_mut` slice and no synchronisation is needed.
-pub(crate) fn fill_posteriors_par(
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &ModelParams,
-    threads: usize,
-    buf: &mut Vec<f64>,
-) {
-    let n_funcs = config.fset.len();
-    let stride = posterior_stride(n_funcs);
-    let n = log.len();
-    buf.clear();
-    buf.resize(geometry.total_bits() * stride, 0.0);
-    let answers = log.answers();
-    let threads = threads.clamp(1, n.max(1));
-    crossbeam::thread::scope(|s| {
-        let mut rest: &mut [f64] = buf.as_mut_slice();
-        for c in 0..threads {
-            let lo = c * n / threads;
-            let hi = (c + 1) * n / threads;
-            if lo == hi {
-                continue;
+    /// Both sides in one pass per iteration, on the calling thread.
+    fn sequential(&self, params: &mut ModelParams, report: &mut EmReport) {
+        let mut stats = self.new_stats();
+        let mut scratch = Scratch::new(self.config.fset.len());
+        let mut previous = params.clone();
+        for _ in 0..self.config.max_iterations {
+            stats.reset_from(self.baseline, self.n_workers);
+            let mut log_likelihood = 0.0;
+            let (task, worker) = stats.sides_mut();
+            self.sweep(
+                &mut (TaskSide::fresh(task), WorkerSide::fresh(worker)),
+                Params::of(params),
+                self.log.answers().iter().enumerate(),
+                &mut scratch,
+                Llh::Sum(&mut log_likelihood),
+            );
+
+            // M-step (worker side pooled with whatever the peers contributed).
+            stats.apply_all_pooled(params, self.tasks, self.peers);
+            debug_assert!(params.check_invariants());
+
+            let delta = params.max_abs_diff(&previous);
+            previous.clone_from(params);
+            if report.record(delta, log_likelihood, self.config.tolerance) {
+                break;
             }
-            let chunk_bit_base = geometry.bit_offset_at(lo);
-            let chunk_bits = geometry.bit_offset_at(hi) - chunk_bit_base;
-            let (chunk_buf, tail) = std::mem::take(&mut rest).split_at_mut(chunk_bits * stride);
-            rest = tail;
-            s.spawn(move |_| {
-                let mut terms = AnswerTerms::zeros(n_funcs);
-                let mut scratch = Posterior::zeros(n_funcs);
-                for (i, answer) in answers.iter().enumerate().take(hi).skip(lo) {
-                    let off = (geometry.bit_offset_at(i) - chunk_bit_base) * stride;
-                    let span = answer.bits.len() * stride;
-                    fill_answer_posteriors(
-                        answer,
-                        i,
-                        geometry,
-                        config,
-                        params,
-                        &mut terms,
-                        &mut scratch,
-                        &mut chunk_buf[off..off + span],
-                    );
-                }
-            });
-        }
-    })
-    .expect("scoped EM workers propagate panics at join");
-}
-
-/// Selection variant of [`fill_posteriors_par`]: computes posteriors for
-/// the answers at stream positions `indices` (the dirty set), laid out in
-/// selection order. `sel_offsets` holds the cumulative label-bit count
-/// before each selected answer (`indices.len() + 1` entries) so chunk
-/// boundaries map to disjoint buffer spans.
-#[allow(clippy::too_many_arguments)] // mirror of fill_posteriors_par plus the selection pair
-pub(crate) fn fill_posteriors_selection_par(
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &ModelParams,
-    indices: &[u32],
-    sel_offsets: &[usize],
-    threads: usize,
-    buf: &mut Vec<f64>,
-) {
-    debug_assert_eq!(sel_offsets.len(), indices.len() + 1);
-    let n_funcs = config.fset.len();
-    let stride = posterior_stride(n_funcs);
-    let n = indices.len();
-    buf.clear();
-    buf.resize(sel_offsets.last().copied().unwrap_or(0) * stride, 0.0);
-    let answers = log.answers();
-    let threads = threads.clamp(1, n.max(1));
-    crossbeam::thread::scope(|s| {
-        let mut rest: &mut [f64] = buf.as_mut_slice();
-        for c in 0..threads {
-            let lo = c * n / threads;
-            let hi = (c + 1) * n / threads;
-            if lo == hi {
-                continue;
-            }
-            let chunk_bit_base = sel_offsets[lo];
-            let chunk_bits = sel_offsets[hi] - chunk_bit_base;
-            let (chunk_buf, tail) = std::mem::take(&mut rest).split_at_mut(chunk_bits * stride);
-            rest = tail;
-            s.spawn(move |_| {
-                let mut terms = AnswerTerms::zeros(n_funcs);
-                let mut scratch = Posterior::zeros(n_funcs);
-                for pos in lo..hi {
-                    let i = indices[pos] as usize;
-                    let answer = &answers[i];
-                    let off = (sel_offsets[pos] - chunk_bit_base) * stride;
-                    let span = answer.bits.len() * stride;
-                    fill_answer_posteriors(
-                        answer,
-                        i,
-                        geometry,
-                        config,
-                        params,
-                        &mut terms,
-                        &mut scratch,
-                        &mut chunk_buf[off..off + span],
-                    );
-                }
-            });
-        }
-    })
-    .expect("scoped EM workers propagate panics at join");
-}
-
-/// Sequential phase of the data-parallel E-step: folds the precomputed
-/// posterior buffer into `stats` in answer index order, issuing exactly the
-/// floating-point additions of [`estep_full`] — same operands, same order —
-/// so the result is bit-identical regardless of how the parallel phase was
-/// chunked. Returns the data log-likelihood.
-fn estep_reduce(
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    stats: &mut SufficientStats,
-    scratch: &mut Posterior,
-    buf: &[f64],
-) -> f64 {
-    let n_funcs = config.fset.len();
-    let stride = posterior_stride(n_funcs);
-    let mut log_likelihood = 0.0;
-    for (i, answer) in log.answers().iter().enumerate() {
-        let base = geometry.base(i);
-        stats.add_answer(answer.task, answer.worker, answer.bits.len());
-        let bit0 = geometry.bit_offset_at(i);
-        for k in 0..answer.bits.len() {
-            let slot = &buf[(bit0 + k) * stride..(bit0 + k + 1) * stride];
-            scratch.z1 = slot[0];
-            scratch.i1 = slot[1];
-            log_likelihood += slot[2];
-            scratch.dw.copy_from_slice(&slot[3..3 + n_funcs]);
-            scratch
-                .dt
-                .copy_from_slice(&slot[3 + n_funcs..3 + 2 * n_funcs]);
-            stats.add_label_bit(base + k, answer.task, answer.worker, scratch);
         }
     }
-    log_likelihood
-}
 
-/// One full E-step over every answer bit on the geometry-cached path,
-/// accumulating into `stats` (which the caller has cleared). Returns the
-/// data log-likelihood `Σ ln P(r)`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn estep_full(
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &ModelParams,
-    stats: &mut SufficientStats,
-    terms: &mut AnswerTerms,
-    scratch: &mut Posterior,
-) -> f64 {
-    let mut log_likelihood = 0.0;
-    for (i, answer) in log.answers().iter().enumerate() {
-        let base = geometry.base(i);
-        stats.add_answer(answer.task, answer.worker, answer.bits.len());
-        let pdw = params.dw(answer.worker);
-        let pdt = params.dt(answer.task);
-        terms.prepare(pdw, pdt, geometry.fvals(i), config.alpha);
-        let pi1 = params.inherent(answer.worker);
-        for (k, r) in answer.bits.iter().enumerate() {
-            factored_prepared(terms, pdw, pdt, params.z_slot(base + k), pi1, r, scratch);
-            log_likelihood += scratch.likelihood.max(prob::EPS).ln();
-            stats.add_label_bit(base + k, answer.task, answer.worker, scratch);
-        }
+    /// The side split: the task side on the calling thread, the worker
+    /// side on one helper for the whole run.
+    fn side_split(&self, params: &mut ModelParams, report: &mut EmReport) {
+        let answers = self.log.answers();
+        let (first, second) = (0..answers.len() / 2, answers.len() / 2..answers.len());
+        let mut stats = self.new_stats();
+        let (task_stats, worker_stats) = stats.sides_mut();
+        let n_funcs = self.config.fset.len();
+        let (mut task_scratch, mut worker_scratch) = (Scratch::new(n_funcs), Scratch::new(n_funcs));
+        sweep::lockstep(
+            params,
+            self.config,
+            report,
+            |step| match step {
+                Step::Estep {
+                    params,
+                    first: llh_first,
+                    second: llh_second,
+                } => {
+                    task_stats.reset_from(self.baseline.map(|b| &b.task));
+                    let mut side = TaskSide::fresh(task_stats);
+                    let scratch = &mut task_scratch;
+                    self.sweep(
+                        &mut side,
+                        params,
+                        sweep::at(answers, first.clone()),
+                        scratch,
+                        llh_first,
+                    );
+                    self.sweep(
+                        &mut side,
+                        params,
+                        sweep::at(answers, second.clone()),
+                        scratch,
+                        llh_second,
+                    );
+                    0.0
+                }
+                Step::Mstep { next, current } => {
+                    task_stats.apply_all(next, self.tasks);
+                    next.max_abs_diff(current)
+                }
+            },
+            |step| match step {
+                Step::Estep {
+                    params,
+                    first: llh_first,
+                    second: llh_second,
+                } => {
+                    worker_stats.reset_from(self.baseline.map(|b| &b.worker), self.n_workers);
+                    let mut side = WorkerSide::fresh(worker_stats);
+                    let scratch = &mut worker_scratch;
+                    self.sweep(
+                        &mut side,
+                        params,
+                        sweep::at(answers, first.clone()),
+                        scratch,
+                        llh_first,
+                    );
+                    self.sweep(
+                        &mut side,
+                        params,
+                        sweep::at(answers, second.clone()),
+                        scratch,
+                        llh_second,
+                    );
+                    0.0
+                }
+                Step::Mstep { next, current } => {
+                    worker_stats.apply_all_pooled(next, self.peers);
+                    next.max_abs_diff(current)
+                }
+            },
+        );
+        debug_assert!(params.check_invariants());
     }
-    log_likelihood
+
+    fn sweep<'a>(
+        &self,
+        side: &mut impl sweep::Side,
+        params: Params<'_>,
+        answers: impl IntoIterator<Item = (usize, &'a Answer)>,
+        scratch: &mut Scratch,
+        llh: Llh<'_>,
+    ) {
+        sweep::sweep(
+            side,
+            params,
+            self.geometry,
+            self.config.alpha,
+            answers,
+            scratch,
+            llh,
+        );
+    }
 }
 
 /// Runs batch EM on the straightforward per-bit path — the reference
@@ -990,11 +1057,7 @@ pub fn run_em_from_naive(
 
         let delta = params.max_abs_diff(&previous);
         previous.clone_from(params);
-        report.iterations += 1;
-        report.max_delta_history.push(delta);
-        report.log_likelihood_history.push(log_likelihood);
-        if delta <= config.tolerance {
-            report.converged = true;
+        if report.record(delta, log_likelihood, config.tolerance) {
             break;
         }
     }
@@ -1187,17 +1250,17 @@ mod tests {
         stats.sub_answer_contrib(base, a0.task, a0.worker, &z1, i1, &dw, &dt);
         assert_ne!(stats, reference);
         for (k, &z) in z1.iter().enumerate() {
-            stats.z_sum[base + k] += z;
+            stats.task.z_sum[base + k] += z;
         }
-        stats.i_sum[a0.worker.index()] += i1;
+        stats.worker.i_sum[a0.worker.index()] += i1;
         for j in 0..3 {
-            stats.dw_sum[a0.worker.index() * 3 + j] += dw[j];
-            stats.dt_sum[a0.task.index() * 3 + j] += dt[j];
+            stats.worker.dw_sum[a0.worker.index() * 3 + j] += dw[j];
+            stats.task.dt_sum[a0.task.index() * 3 + j] += dt[j];
         }
-        for (a, b) in stats.z_sum.iter().zip(&reference.z_sum) {
+        for (a, b) in stats.z_sum().iter().zip(reference.z_sum()) {
             assert!((a - b).abs() < 1e-12);
         }
-        for (a, b) in stats.dw_sum.iter().zip(&reference.dw_sum) {
+        for (a, b) in stats.dw_sum().iter().zip(reference.dw_sum()) {
             assert!((a - b).abs() < 1e-12);
         }
     }

@@ -123,15 +123,6 @@ impl AnswerGeometry {
         self.bit_offset[i] as usize..self.bit_offset[i + 1] as usize
     }
 
-    /// Cumulative label-bit offset *before* answer `i`; valid for
-    /// `i ∈ 0..=len()` (`bit_offset_at(len()) == total_bits()`). The
-    /// data-parallel E-step uses this to translate an answer-index chunk
-    /// boundary into its span of the flat posterior buffer.
-    #[must_use]
-    pub fn bit_offset_at(&self, i: usize) -> usize {
-        self.bit_offset[i] as usize
-    }
-
     /// Drops all entries (the task set changed; offsets are invalid).
     pub fn clear(&mut self) {
         self.fvals.clear();

@@ -30,15 +30,17 @@
 //! the union of the answers would estimate.
 
 use crate::model::em::{
-    fill_posteriors_par, fill_posteriors_selection_par, posterior_stride,
     run_em_geometry_pooled_threads_from, EmConfig, EmParallelism, EmReport, SufficientStats,
+    TaskStats, WorkerStats,
 };
 use crate::model::geometry::AnswerGeometry;
 use crate::model::gossip::{PeerStats, WorkerStatDelta};
-use crate::model::posterior::{factored_prepared, AnswerTerms, Posterior};
+use crate::model::params::{TaskParams, WorkerParams};
+use crate::model::sweep::{
+    self, Llh, Meet, Params, Scratch, Side, StatContribs, Step, TaskSide, WorkerSide,
+};
 use crate::model::{InitStrategy, ModelParams};
 use crate::obs::RecorderHandle;
-use crate::prob;
 use crate::{Answer, AnswerLog, TaskId, TaskSet, WorkerId};
 
 /// When and how to re-run the delayed batch EM.
@@ -72,12 +74,15 @@ pub struct UpdatePolicy {
     /// headroom for burstier streams while still catching the
     /// nearly-all-dirty case. Re-sweep when the workload shape changes.
     pub dirty_coverage_fallback: usize,
-    /// Worker threads for the E-step of delayed rebuilds (full and
-    /// dirty-set sweeps). Results are bit-identical for every setting —
-    /// the parallel phase only precomputes posteriors; accumulation stays
-    /// sequential in answer order — so this is a pure throughput knob.
-    /// Sweeps over fewer than [`EmParallelism::SMALL_LOG_FLOOR`] answers
-    /// always run sequentially.
+    /// Threads for delayed rebuilds (full sweeps, their statistics
+    /// rebuild, and dirty-set sweeps). With two or more, each rebuild
+    /// splits its E-step by side — task accumulators on the calling thread,
+    /// worker accumulators on one helper — and every accumulator cell still
+    /// receives its additions in answer order, so results are bit-identical
+    /// for every setting and this is a pure throughput knob. A sweep uses
+    /// at most [`EmParallelism::MAX_SWEEP_THREADS`] threads, and sweeps over
+    /// fewer than [`EmParallelism::SMALL_LOG_FLOOR`] answers run
+    /// sequentially.
     pub parallelism: EmParallelism,
 }
 
@@ -145,84 +150,6 @@ impl DirtySet {
     }
 }
 
-/// Cached per-answer posterior contributions — exactly what each answer
-/// most recently added to the [`SufficientStats`], so a dirty sweep can
-/// subtract an answer's old contribution and re-add a fresh one without
-/// sweeping the rest of the log.
-#[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-struct StatContribs {
-    n_funcs: usize,
-    /// `P(z=1|r)` per label bit, flat by the geometry's bit offsets.
-    z1: Vec<f64>,
-    /// Σ over bits of `P(i=1|r)`, per answer.
-    i1: Vec<f64>,
-    /// Σ over bits of `P(dw|r)`, per answer × function.
-    dw: Vec<f64>,
-    /// Σ over bits of `P(dt|r)`, per answer × function.
-    dt: Vec<f64>,
-}
-
-impl StatContribs {
-    fn new(n_funcs: usize) -> Self {
-        Self {
-            n_funcs,
-            ..Self::default()
-        }
-    }
-
-    fn n_answers(&self) -> usize {
-        self.i1.len()
-    }
-
-    /// Appends a zeroed row for a just-absorbed answer with `n_bits` labels.
-    fn push_answer(&mut self, n_bits: usize) {
-        self.z1.resize(self.z1.len() + n_bits, 0.0);
-        self.i1.push(0.0);
-        self.dw.resize(self.dw.len() + self.n_funcs, 0.0);
-        self.dt.resize(self.dt.len() + self.n_funcs, 0.0);
-    }
-
-    /// Zeroes then resizes the rows to cover `geometry` (full rebuild).
-    fn reset(&mut self, geometry: &AnswerGeometry) {
-        self.z1.clear();
-        self.z1.resize(geometry.total_bits(), 0.0);
-        self.i1.clear();
-        self.i1.resize(geometry.len(), 0.0);
-        self.dw.clear();
-        self.dw.resize(geometry.len() * self.n_funcs, 0.0);
-        self.dt.clear();
-        self.dt.resize(geometry.len() * self.n_funcs, 0.0);
-    }
-
-    /// Zeroes answer `i`'s row before a re-sweep.
-    fn zero_answer(&mut self, i: usize, bit_range: std::ops::Range<usize>) {
-        self.z1[bit_range].fill(0.0);
-        self.i1[i] = 0.0;
-        self.dw[i * self.n_funcs..(i + 1) * self.n_funcs].fill(0.0);
-        self.dt[i * self.n_funcs..(i + 1) * self.n_funcs].fill(0.0);
-    }
-
-    /// Folds one bit's posterior into answer `i`'s row.
-    fn record_bit(&mut self, i: usize, bit_slot: usize, p: &Posterior) {
-        self.z1[bit_slot] = p.z1;
-        self.i1[i] += p.i1;
-        let base = i * self.n_funcs;
-        for j in 0..self.n_funcs {
-            self.dw[base + j] += p.dw[j];
-            self.dt[base + j] += p.dt[j];
-        }
-    }
-
-    fn dw_row(&self, i: usize) -> &[f64] {
-        &self.dw[i * self.n_funcs..(i + 1) * self.n_funcs]
-    }
-
-    fn dt_row(&self, i: usize) -> &[f64] {
-        &self.dt[i * self.n_funcs..(i + 1) * self.n_funcs]
-    }
-}
-
 /// The online estimator: current parameters plus running sufficient
 /// statistics, the answer-geometry cache and the dirty-set bookkeeping.
 ///
@@ -245,8 +172,7 @@ pub struct OnlineModel {
     /// Gossiped worker-side statistics from peer instances; every worker
     /// M-step pools its own accumulators with this aggregate.
     peers: PeerStats,
-    scratch: Posterior,
-    terms: AnswerTerms,
+    scratch: Scratch,
     /// Reusable buffer of pre-M-step parameter values for delta tracking.
     mstep_old: Vec<f64>,
     /// Frozen sufficient statistics of the pruned answer-stream prefix,
@@ -280,11 +206,10 @@ impl OnlineModel {
             params,
             stats,
             geometry,
-            contribs: StatContribs::new(n_funcs),
+            contribs: StatContribs::default(),
             dirty: DirtySet::default(),
             peers: PeerStats::new(),
-            scratch: Posterior::zeros(n_funcs),
-            terms: AnswerTerms::zeros(n_funcs),
+            scratch: Scratch::new(n_funcs),
             mstep_old: Vec::new(),
             frozen: None,
             absorbed_since_full: 0,
@@ -494,41 +419,30 @@ impl OnlineModel {
         report
     }
 
+    /// One E-pass over `log` under the current parameters, rebuilding the
+    /// statistics (from the frozen baseline, if any) and every answer's
+    /// contribution row.
     fn rebuild_stats(&mut self, log: &AnswerLog) {
-        match &self.frozen {
-            Some(baseline) => self.stats.clone_from(baseline),
-            None => self.stats.clear(),
-        }
-        self.stats.ensure_workers(log.n_workers());
+        self.stats.reset_from(self.frozen.as_ref(), log.n_workers());
         self.contribs.reset(&self.geometry);
-        let threads = self.policy.parallelism.effective(log.len());
-        if threads > 1 {
-            // Posteriors are pure in the (now frozen) parameters: compute
-            // them in parallel, then fold sequentially in answer order —
-            // the exact additions of the sequential loop below.
-            let stride = posterior_stride(self.config.fset.len());
-            let mut buf = Vec::new();
-            fill_posteriors_par(
-                log,
-                &self.geometry,
-                &self.config,
-                &self.params,
-                threads,
-                &mut buf,
+        let (task_stats, worker_stats) = self.stats.sides_mut();
+        let task = TaskSide::recording(task_stats, &mut self.contribs.task, false);
+        let worker = WorkerSide::recording(worker_stats, &mut self.contribs.worker, false);
+        let params = Params::of(&self.params);
+        let (geometry, alpha) = (&self.geometry, self.config.alpha);
+        let pass = |side: &mut dyn Side, scratch: &mut Scratch| {
+            let answers = log.answers().iter().enumerate();
+            sweep::sweep(side, params, geometry, alpha, answers, scratch, Llh::Skip);
+        };
+        if self.policy.parallelism.effective(log.len()) > 1 {
+            let n_funcs = self.config.fset.len();
+            let (mut task, mut worker) = (task, worker);
+            sweep::split(
+                |_: &Meet<()>| pass(&mut task, &mut Scratch::new(n_funcs)),
+                |_| pass(&mut worker, &mut Scratch::new(n_funcs)),
             );
-            for (i, answer) in log.answers().iter().enumerate() {
-                self.stats
-                    .add_answer(answer.task, answer.worker, answer.bits.len());
-                let bits = self.geometry.bit_range(i);
-                let span = &buf[bits.start * stride..bits.end * stride];
-                self.accumulate_answer_from_buf(i, answer, span, None);
-            }
         } else {
-            for (i, answer) in log.answers().iter().enumerate() {
-                self.stats
-                    .add_answer(answer.task, answer.worker, answer.bits.len());
-                self.accumulate_answer(i, answer, None);
-            }
+            pass(&mut (task, worker), &mut self.scratch);
         }
     }
 
@@ -540,12 +454,12 @@ impl OnlineModel {
         // Collect the dirty answers and the entities they touch (one-hop:
         // a clean task answered by a dirty worker gets its parameters
         // refreshed, but does not recursively dirty its other workers).
-        let mut dirty_answers: Vec<u32> = Vec::new();
+        let mut dirty_answers: Vec<usize> = Vec::new();
         let mut touched_tasks = vec![false; tasks.len()];
         let mut touched_workers = vec![false; log.n_workers()];
         for (i, answer) in log.answers().iter().enumerate() {
             if self.dirty.is_dirty(answer) {
-                dirty_answers.push(i as u32);
+                dirty_answers.push(i);
                 touched_tasks[answer.task.index()] = true;
                 touched_workers[answer.worker.index()] = true;
             }
@@ -566,120 +480,150 @@ impl OnlineModel {
         }
         report.converged = false;
 
-        let answers = log.answers();
-        let threads = self.policy.parallelism.effective(dirty_answers.len());
-        let stride = posterior_stride(self.config.fset.len());
-        // Cumulative label-bit count before each dirty answer — fixed for
-        // the whole sweep, so computed once.
-        let mut sel_offsets = Vec::new();
-        if threads > 1 {
-            sel_offsets.reserve(dirty_answers.len() + 1);
-            sel_offsets.push(0usize);
-            for &i in &dirty_answers {
-                let last = *sel_offsets.last().expect("non-empty offsets");
-                sel_offsets.push(last + answers[i as usize].bits.len());
-            }
+        if self.policy.parallelism.effective(dirty_answers.len()) > 1 {
+            self.dirty_split(
+                tasks,
+                log,
+                &dirty_answers,
+                &touched_tasks,
+                &touched_workers,
+                &mut report,
+            );
+            return Some(report);
         }
-        let mut buf = Vec::new();
+        let answers = log.answers();
         for _ in 0..self.config.max_iterations {
             // Partial E-step: replace each dirty answer's contribution.
-            // Parameters are frozen until the partial M-step below, so the
-            // posteriors can be precomputed in parallel; the sequential
-            // subtract/re-add fold below is unchanged either way.
-            if threads > 1 {
-                fill_posteriors_selection_par(
-                    log,
-                    &self.geometry,
-                    &self.config,
-                    &self.params,
-                    &dirty_answers,
-                    &sel_offsets,
-                    threads,
-                    &mut buf,
-                );
-            }
             let mut log_likelihood = 0.0;
-            for (pos, &i) in dirty_answers.iter().enumerate() {
-                let i = i as usize;
-                let answer = &answers[i];
-                let bit_range = self.geometry.bit_range(i);
-                self.stats.sub_answer_contrib(
-                    self.geometry.base(i),
-                    answer.task,
-                    answer.worker,
-                    &self.contribs.z1[bit_range],
-                    self.contribs.i1[i],
-                    self.contribs.dw_row(i),
-                    self.contribs.dt_row(i),
-                );
-                if threads > 1 {
-                    let span = &buf[sel_offsets[pos] * stride..sel_offsets[pos + 1] * stride];
-                    self.accumulate_answer_from_buf(i, answer, span, Some(&mut log_likelihood));
-                } else {
-                    self.accumulate_answer(i, answer, Some(&mut log_likelihood));
-                }
-            }
+            let (task_stats, worker_stats) = self.stats.sides_mut();
+            sweep::sweep(
+                &mut (
+                    TaskSide::recording(task_stats, &mut self.contribs.task, true),
+                    WorkerSide::recording(worker_stats, &mut self.contribs.worker, true),
+                ),
+                Params::of(&self.params),
+                &self.geometry,
+                self.config.alpha,
+                sweep::at(answers, dirty_answers.iter().copied()),
+                &mut self.scratch,
+                Llh::Sum(&mut log_likelihood),
+            );
 
             // Partial M-step over the touched entities, tracking the
             // parameter delta (untouched parameters cannot move).
-            let mut delta = 0.0_f64;
-            for (t, touched) in touched_tasks.iter().enumerate() {
-                if *touched {
-                    delta = delta.max(self.apply_task_tracked(tasks, TaskId::from_index(t)));
-                }
-            }
-            for (w, touched) in touched_workers.iter().enumerate() {
-                if *touched {
-                    delta = delta.max(self.apply_worker_tracked(WorkerId::from_index(w)));
-                }
-            }
+            let (task_params, worker_params) = self.params.halves_mut();
+            let old = &mut self.mstep_old;
+            let delta = touched_task_mstep(task_stats, task_params, tasks, &touched_tasks, old)
+                .max(touched_worker_mstep(
+                    worker_stats,
+                    worker_params,
+                    &self.peers,
+                    &touched_workers,
+                    old,
+                ));
             debug_assert!(self.params.check_invariants());
-
-            report.iterations += 1;
-            report.max_delta_history.push(delta);
-            report.log_likelihood_history.push(log_likelihood);
-            if delta <= self.config.tolerance {
-                report.converged = true;
+            if report.record(delta, log_likelihood, self.config.tolerance) {
                 break;
             }
         }
         Some(report)
     }
 
-    /// Applies the task-side M-step for `t` and returns the maximum
-    /// absolute parameter change.
-    fn apply_task_tracked(&mut self, tasks: &TaskSet, t: TaskId) -> f64 {
-        let base = tasks.label_offset(t);
-        let n_labels = tasks.n_labels(t);
-        self.mstep_old.clear();
-        for k in 0..n_labels {
-            self.mstep_old.push(self.params.z_slot(base + k));
-        }
-        self.mstep_old.extend_from_slice(self.params.dt(t));
-        self.stats.apply_task(&mut self.params, tasks, t);
-        let mut delta = 0.0_f64;
-        for k in 0..n_labels {
-            delta = delta.max((self.params.z_slot(base + k) - self.mstep_old[k]).abs());
-        }
-        for (j, &old) in self.mstep_old[n_labels..].iter().enumerate() {
-            delta = delta.max((self.params.dt(t)[j] - old).abs());
-        }
-        delta
-    }
-
-    /// Applies the (peer-pooled) worker-side M-step for `w` and returns
-    /// the maximum absolute parameter change.
-    fn apply_worker_tracked(&mut self, w: WorkerId) -> f64 {
-        self.mstep_old.clear();
-        self.mstep_old.push(self.params.inherent(w));
-        self.mstep_old.extend_from_slice(self.params.dw(w));
-        self.stats
-            .apply_worker_pooled(&mut self.params, w, &self.peers);
-        let mut delta = (self.params.inherent(w) - self.mstep_old[0]).abs();
-        for (j, &old) in self.mstep_old[1..].iter().enumerate() {
-            delta = delta.max((self.params.dw(w)[j] - old).abs());
-        }
-        delta
+    /// [`OnlineModel::dirty_sweep`]'s iterations as a side split: the task
+    /// side on the calling thread, the worker side on one helper.
+    fn dirty_split(
+        &mut self,
+        tasks: &TaskSet,
+        log: &AnswerLog,
+        dirty_answers: &[usize],
+        touched_tasks: &[bool],
+        touched_workers: &[bool],
+        report: &mut EmReport,
+    ) {
+        let (first, second) = dirty_answers.split_at(dirty_answers.len() / 2);
+        let (answers, geometry, alpha) = (log.answers(), &self.geometry, self.config.alpha);
+        let (task_stats, worker_stats) = self.stats.sides_mut();
+        let (task_rows, worker_rows) = (&mut self.contribs.task, &mut self.contribs.worker);
+        let peers = &self.peers;
+        let n_funcs = self.config.fset.len();
+        let (mut task_scratch, mut worker_scratch) = (Scratch::new(n_funcs), Scratch::new(n_funcs));
+        let (mut task_old, mut worker_old) = (Vec::new(), Vec::new());
+        sweep::lockstep(
+            &mut self.params,
+            &self.config,
+            report,
+            |step| match step {
+                Step::Estep {
+                    params,
+                    first: llh_first,
+                    second: llh_second,
+                } => {
+                    let mut side = TaskSide::recording(task_stats, task_rows, true);
+                    let (first, second) = (first.iter().copied(), second.iter().copied());
+                    let scratch = &mut task_scratch;
+                    sweep::sweep(
+                        &mut side,
+                        params,
+                        geometry,
+                        alpha,
+                        sweep::at(answers, first),
+                        scratch,
+                        llh_first,
+                    );
+                    sweep::sweep(
+                        &mut side,
+                        params,
+                        geometry,
+                        alpha,
+                        sweep::at(answers, second),
+                        scratch,
+                        llh_second,
+                    );
+                    0.0
+                }
+                Step::Mstep { next, .. } => {
+                    touched_task_mstep(task_stats, next, tasks, touched_tasks, &mut task_old)
+                }
+            },
+            |step| match step {
+                Step::Estep {
+                    params,
+                    first: llh_first,
+                    second: llh_second,
+                } => {
+                    let mut side = WorkerSide::recording(worker_stats, worker_rows, true);
+                    let (first, second) = (first.iter().copied(), second.iter().copied());
+                    let scratch = &mut worker_scratch;
+                    sweep::sweep(
+                        &mut side,
+                        params,
+                        geometry,
+                        alpha,
+                        sweep::at(answers, first),
+                        scratch,
+                        llh_first,
+                    );
+                    sweep::sweep(
+                        &mut side,
+                        params,
+                        geometry,
+                        alpha,
+                        sweep::at(answers, second),
+                        scratch,
+                        llh_second,
+                    );
+                    0.0
+                }
+                Step::Mstep { next, .. } => touched_worker_mstep(
+                    worker_stats,
+                    next,
+                    peers,
+                    touched_workers,
+                    &mut worker_old,
+                ),
+            },
+        );
+        debug_assert!(self.params.check_invariants());
     }
 
     /// One partial E-step: folds `answer`'s posterior into the statistics
@@ -695,10 +639,21 @@ impl OnlineModel {
         // later sweep reads it instead of recomputing distances.
         self.geometry.push(tasks, &self.config.fset, answer);
         let i = self.geometry.len() - 1;
-        self.contribs.push_answer(answer.bits.len());
-        self.stats
-            .add_answer(answer.task, answer.worker, answer.bits.len());
-        self.accumulate_answer(i, answer, None);
+        self.contribs
+            .push_answer(answer.bits.len(), self.config.fset.len());
+        let (task_stats, worker_stats) = self.stats.sides_mut();
+        sweep::sweep(
+            &mut (
+                TaskSide::recording(task_stats, &mut self.contribs.task, false),
+                WorkerSide::recording(worker_stats, &mut self.contribs.worker, false),
+            ),
+            Params::of(&self.params),
+            &self.geometry,
+            self.config.alpha,
+            [(i, answer)],
+            &mut self.scratch,
+            Llh::Skip,
+        );
         self.dirty.mark(answer.task, answer.worker);
         // Refresh exactly the parameters the paper's Section III-D names:
         // the submitting worker's quality and the task's results + influence.
@@ -719,81 +674,6 @@ impl OnlineModel {
             }
         }
         false
-    }
-
-    /// Computes answer `i`'s posterior contributions under the current
-    /// parameters, adds them to the sufficient statistics and refreshes the
-    /// contribution cache. The caller is responsible for the answer *count*
-    /// bookkeeping and for subtracting any previous contribution.
-    fn accumulate_answer(
-        &mut self,
-        i: usize,
-        answer: &Answer,
-        mut log_likelihood: Option<&mut f64>,
-    ) {
-        let base = self.geometry.base(i);
-        let bit_range = self.geometry.bit_range(i);
-        self.terms.prepare(
-            self.params.dw(answer.worker),
-            self.params.dt(answer.task),
-            self.geometry.fvals(i),
-            self.config.alpha,
-        );
-        let pi1 = self.params.inherent(answer.worker);
-        self.contribs.zero_answer(i, bit_range.clone());
-        for (k, r) in answer.bits.iter().enumerate() {
-            factored_prepared(
-                &self.terms,
-                self.params.dw(answer.worker),
-                self.params.dt(answer.task),
-                self.params.z_slot(base + k),
-                pi1,
-                r,
-                &mut self.scratch,
-            );
-            if let Some(llh) = log_likelihood.as_deref_mut() {
-                *llh += self.scratch.likelihood.max(prob::EPS).ln();
-            }
-            self.stats
-                .add_label_bit(base + k, answer.task, answer.worker, &self.scratch);
-            self.contribs
-                .record_bit(i, bit_range.start + k, &self.scratch);
-        }
-    }
-
-    /// [`OnlineModel::accumulate_answer`] fed from a precomputed posterior
-    /// buffer (`answer.bits.len() * stride` slots laid out as in
-    /// [`posterior_stride`]) instead of evaluating the posteriors in place.
-    /// The accumulation arithmetic — operands and order — is identical, so
-    /// the two paths produce bit-identical statistics.
-    fn accumulate_answer_from_buf(
-        &mut self,
-        i: usize,
-        answer: &Answer,
-        span: &[f64],
-        mut log_likelihood: Option<&mut f64>,
-    ) {
-        let n_funcs = self.config.fset.len();
-        let stride = posterior_stride(n_funcs);
-        let base = self.geometry.base(i);
-        let bit_range = self.geometry.bit_range(i);
-        self.contribs.zero_answer(i, bit_range.clone());
-        for k in 0..answer.bits.len() {
-            let slot = &span[k * stride..(k + 1) * stride];
-            self.scratch.z1 = slot[0];
-            self.scratch.i1 = slot[1];
-            if let Some(llh) = log_likelihood.as_deref_mut() {
-                *llh += slot[2];
-            }
-            self.scratch.dw.copy_from_slice(&slot[3..3 + n_funcs]);
-            self.scratch
-                .dt
-                .copy_from_slice(&slot[3 + n_funcs..3 + 2 * n_funcs]);
-            self.stats
-                .add_label_bit(base + k, answer.task, answer.worker, &self.scratch);
-            self.contribs
-                .record_bit(i, bit_range.start + k, &self.scratch);
-        }
     }
 
     /// Restores the estimator to the deterministic state it holds
@@ -877,7 +757,7 @@ impl OnlineModel {
         }
         self.frozen = Some(self.stats.clone());
         self.geometry.clear();
-        self.contribs = StatContribs::new(self.config.fset.len());
+        self.contribs = StatContribs::default();
         self.dirty.clear();
         true
     }
@@ -920,7 +800,7 @@ impl OnlineModel {
         );
         self.stats = SufficientStats::new(tasks, log.n_workers(), n_funcs);
         self.geometry.clear();
-        self.contribs = StatContribs::new(n_funcs);
+        self.contribs = StatContribs::default();
         self.dirty = DirtySet::default();
         self.absorbed_since_full = 0;
         self.runs_since_sweep = 0;
@@ -928,6 +808,38 @@ impl OnlineModel {
             self.full_em(tasks, log);
         }
     }
+}
+
+/// The partial task M-step of a dirty sweep: refreshes every touched task
+/// and returns the largest parameter change.
+fn touched_task_mstep(
+    stats: &TaskStats,
+    params: &mut TaskParams,
+    tasks: &TaskSet,
+    touched: &[bool],
+    old: &mut Vec<f64>,
+) -> f64 {
+    let mut delta = 0.0_f64;
+    for (t, _) in touched.iter().enumerate().filter(|(_, &hit)| hit) {
+        delta = delta.max(stats.apply_tracked(params, tasks, TaskId::from_index(t), old));
+    }
+    delta
+}
+
+/// The partial (peer-pooled) worker M-step of a dirty sweep: refreshes
+/// every touched worker and returns the largest parameter change.
+fn touched_worker_mstep(
+    stats: &WorkerStats,
+    params: &mut WorkerParams,
+    peers: &PeerStats,
+    touched: &[bool],
+    old: &mut Vec<f64>,
+) -> f64 {
+    let mut delta = 0.0_f64;
+    for (w, _) in touched.iter().enumerate().filter(|(_, &hit)| hit) {
+        delta = delta.max(stats.apply_tracked(params, WorkerId::from_index(w), peers, old));
+    }
+    delta
 }
 
 #[cfg(test)]

@@ -11,6 +11,8 @@
 //!   time and shared by every inference path;
 //! * [`em`] — batch EM (Equation 14) with convergence diagnostics, in a
 //!   geometry-cached fast path and a naive reference path;
+//! * `sweep` — the E-step sweep every EM path shares and its two-thread
+//!   side split (task side on the caller, worker side on one helper);
 //! * [`incremental`] — the online estimator: per-answer incremental EM plus
 //!   the delayed rebuild of Section III-D (full-sweep or dirty-set);
 //! * [`gossip`] — the mergeable, versioned worker-statistic deltas that
@@ -23,6 +25,7 @@ pub mod gossip;
 pub mod incremental;
 pub mod params;
 pub mod posterior;
+pub(crate) mod sweep;
 
 pub use em::{
     run_em, run_em_from, run_em_from_naive, run_em_geometry, run_em_geometry_pooled,

@@ -28,16 +28,100 @@ pub enum InitStrategy {
 ///   Definition 5);
 /// * `dt[t · |F| + j]` — `P(d_t = f_λj)` (POI-influence weights,
 ///   Definition 6).
+///
+/// The task half (`P(z)`, `P(d_t)`) and the worker half (`P(i_w)`,
+/// `P(d_w)`) are stored apart: the M-step writes each half from its own
+/// side of the sufficient statistics, which lets the side-split E-step
+/// hand the halves to two threads.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModelParams {
     n_funcs: usize,
     n_tasks: usize,
     n_workers: usize,
+    task: TaskParams,
+    worker: WorkerParams,
+}
+
+/// The task half of [`ModelParams`]: `P(z)` per flat label slot and the
+/// `P(d_t)` mixtures.
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub(crate) struct TaskParams {
+    n_funcs: usize,
     z: Vec<f64>,
+    dt: Vec<f64>,
+}
+
+impl TaskParams {
+    pub(crate) fn z_slot(&self, slot: usize) -> f64 {
+        self.z[slot]
+    }
+
+    pub(crate) fn set_z_slot(&mut self, slot: usize, value: f64) {
+        self.z[slot] = prob::clamp_prob(value);
+    }
+
+    pub(crate) fn dt(&self, t: TaskId) -> &[f64] {
+        let base = t.index() * self.n_funcs;
+        &self.dt[base..base + self.n_funcs]
+    }
+
+    pub(crate) fn dt_mut(&mut self, t: TaskId) -> &mut [f64] {
+        let base = t.index() * self.n_funcs;
+        &mut self.dt[base..base + self.n_funcs]
+    }
+
+    /// Maximum absolute difference over `P(z)` then `P(d_t)`.
+    pub(crate) fn max_abs_diff(&self, other: &Self) -> f64 {
+        assert_eq!(self.z.len(), other.z.len(), "shape mismatch");
+        let pairs = self
+            .z
+            .iter()
+            .zip(&other.z)
+            .chain(self.dt.iter().zip(&other.dt));
+        pairs.map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
+    }
+}
+
+/// The worker half of [`ModelParams`]: `P(i_w)` and the `P(d_w)` mixtures.
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub(crate) struct WorkerParams {
+    n_funcs: usize,
     iw: Vec<f64>,
     dw: Vec<f64>,
-    dt: Vec<f64>,
+}
+
+impl WorkerParams {
+    pub(crate) fn inherent(&self, w: WorkerId) -> f64 {
+        self.iw[w.index()]
+    }
+
+    pub(crate) fn set_inherent(&mut self, w: WorkerId, value: f64) {
+        self.iw[w.index()] = prob::clamp_prob(value);
+    }
+
+    pub(crate) fn dw(&self, w: WorkerId) -> &[f64] {
+        let base = w.index() * self.n_funcs;
+        &self.dw[base..base + self.n_funcs]
+    }
+
+    pub(crate) fn dw_mut(&mut self, w: WorkerId) -> &mut [f64] {
+        let base = w.index() * self.n_funcs;
+        &mut self.dw[base..base + self.n_funcs]
+    }
+
+    /// Maximum absolute difference over `P(i_w)` then `P(d_w)`.
+    pub(crate) fn max_abs_diff(&self, other: &Self) -> f64 {
+        assert_eq!(self.iw.len(), other.iw.len(), "shape mismatch");
+        let pairs = self
+            .iw
+            .iter()
+            .zip(&other.iw)
+            .chain(self.dw.iter().zip(&other.dw));
+        pairs.map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
+    }
 }
 
 /// Prior worker inherent quality used at initialisation: most platform
@@ -66,10 +150,16 @@ impl ModelParams {
             n_funcs,
             n_tasks: tasks.len(),
             n_workers,
-            z: vec![0.5; tasks.total_labels()],
-            iw: vec![PRIOR_INHERENT_QUALITY; n_workers],
-            dw: vec![uniform; n_workers * n_funcs],
-            dt: vec![uniform; tasks.len() * n_funcs],
+            task: TaskParams {
+                n_funcs,
+                z: vec![0.5; tasks.total_labels()],
+                dt: vec![uniform; tasks.len() * n_funcs],
+            },
+            worker: WorkerParams {
+                n_funcs,
+                iw: vec![PRIOR_INHERENT_QUALITY; n_workers],
+                dw: vec![uniform; n_workers * n_funcs],
+            },
         };
         if strategy == InitStrategy::VoteShare {
             params.seed_vote_share(tasks, log);
@@ -86,7 +176,7 @@ impl ModelParams {
             let base = tasks.label_offset(task.id);
             for k in 0..task.n_labels() {
                 let yes = log.answers_on(task.id).filter(|a| a.bits.get(k)).count();
-                self.z[base + k] = prob::clamp_prob(yes as f64 / n as f64);
+                self.task.z[base + k] = prob::clamp_prob(yes as f64 / n as f64);
             }
         }
     }
@@ -122,10 +212,8 @@ impl ModelParams {
             n_funcs,
             n_tasks: dt.len() / n_funcs,
             n_workers: iw.len(),
-            z,
-            iw,
-            dw,
-            dt,
+            task: TaskParams { n_funcs, z, dt },
+            worker: WorkerParams { n_funcs, iw, dw },
         };
         params.check_invariants().then_some(params)
     }
@@ -151,73 +239,69 @@ impl ModelParams {
     /// `P(z = 1)` for the flat label slot (see [`TaskSet::label_slot`]).
     #[must_use]
     pub fn z_slot(&self, slot: usize) -> f64 {
-        self.z[slot]
+        self.task.z_slot(slot)
     }
 
     /// Sets `P(z = 1)` for a flat label slot (clamped).
     pub fn set_z_slot(&mut self, slot: usize, value: f64) {
-        self.z[slot] = prob::clamp_prob(value);
+        self.task.set_z_slot(slot, value);
     }
 
     /// All `P(z = 1)` values, flat.
     #[must_use]
     pub fn z(&self) -> &[f64] {
-        &self.z
+        &self.task.z
     }
 
     /// `P(i_w = 1)` — the worker's inherent quality.
     #[must_use]
     pub fn inherent(&self, w: WorkerId) -> f64 {
-        self.iw[w.index()]
+        self.worker.inherent(w)
     }
 
     /// All `P(i_w = 1)` values, flat by worker id (snapshot encoding).
     #[must_use]
     pub fn inherent_all(&self) -> &[f64] {
-        &self.iw
+        &self.worker.iw
     }
 
     /// All `P(d_w)` mixture weights, flat worker-major (snapshot encoding).
     #[must_use]
     pub fn dw_flat(&self) -> &[f64] {
-        &self.dw
+        &self.worker.dw
     }
 
     /// All `P(d_t)` mixture weights, flat task-major (snapshot encoding).
     #[must_use]
     pub fn dt_flat(&self) -> &[f64] {
-        &self.dt
+        &self.task.dt
     }
 
     /// Sets `P(i_w = 1)` (clamped).
     pub fn set_inherent(&mut self, w: WorkerId, value: f64) {
-        self.iw[w.index()] = prob::clamp_prob(value);
+        self.worker.set_inherent(w, value);
     }
 
     /// Mixture weights `P(d_w = f_λj)` for worker `w`.
     #[must_use]
     pub fn dw(&self, w: WorkerId) -> &[f64] {
-        let base = w.index() * self.n_funcs;
-        &self.dw[base..base + self.n_funcs]
+        self.worker.dw(w)
     }
 
     /// Mutable mixture weights for worker `w` (renormalise after writing!).
     pub fn dw_mut(&mut self, w: WorkerId) -> &mut [f64] {
-        let base = w.index() * self.n_funcs;
-        &mut self.dw[base..base + self.n_funcs]
+        self.worker.dw_mut(w)
     }
 
     /// Mixture weights `P(d_t = f_λj)` for task `t`.
     #[must_use]
     pub fn dt(&self, t: TaskId) -> &[f64] {
-        let base = t.index() * self.n_funcs;
-        &self.dt[base..base + self.n_funcs]
+        self.task.dt(t)
     }
 
     /// Mutable mixture weights for task `t` (renormalise after writing!).
     pub fn dt_mut(&mut self, t: TaskId) -> &mut [f64] {
-        let base = t.index() * self.n_funcs;
-        &mut self.dt[base..base + self.n_funcs]
+        self.task.dt_mut(t)
     }
 
     /// Grows the worker-side parameters when workers register
@@ -226,41 +310,50 @@ impl ModelParams {
         if n_workers <= self.n_workers {
             return;
         }
-        self.iw.resize(n_workers, PRIOR_INHERENT_QUALITY);
-        self.dw
+        self.worker.iw.resize(n_workers, PRIOR_INHERENT_QUALITY);
+        self.worker
+            .dw
             .resize(n_workers * self.n_funcs, 1.0 / self.n_funcs as f64);
         self.n_workers = n_workers;
     }
 
     /// Maximum absolute difference across all parameters — the paper's
     /// convergence measure ("maximum variance of parameters", Figure 10).
+    /// The maximum of the two halves' maxima: `max` is exact, so splitting
+    /// it changes nothing.
     ///
     /// # Panics
     /// Panics if the two parameter sets have different shapes.
     #[must_use]
     pub fn max_abs_diff(&self, other: &Self) -> f64 {
-        assert_eq!(self.z.len(), other.z.len(), "shape mismatch");
-        assert_eq!(self.iw.len(), other.iw.len(), "shape mismatch");
-        let pairs = self
-            .z
-            .iter()
-            .zip(&other.z)
-            .chain(self.iw.iter().zip(&other.iw))
-            .chain(self.dw.iter().zip(&other.dw))
-            .chain(self.dt.iter().zip(&other.dt));
-        pairs.map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
+        self.task
+            .max_abs_diff(&other.task)
+            .max(self.worker.max_abs_diff(&other.worker))
+    }
+
+    /// The two halves.
+    pub(crate) fn halves(&self) -> (&TaskParams, &WorkerParams) {
+        (&self.task, &self.worker)
+    }
+
+    /// The two halves, borrowed apart so each side of the split E-step
+    /// can own one.
+    pub(crate) fn halves_mut(&mut self) -> (&mut TaskParams, &mut WorkerParams) {
+        (&mut self.task, &mut self.worker)
     }
 
     /// Debug invariant: every probability valid, every mixture a simplex.
     #[must_use]
     pub fn check_invariants(&self) -> bool {
-        self.z.iter().all(|&p| prob::is_prob(p))
-            && self.iw.iter().all(|&p| prob::is_prob(p))
+        self.task.z.iter().all(|&p| prob::is_prob(p))
+            && self.worker.iw.iter().all(|&p| prob::is_prob(p))
             && self
+                .worker
                 .dw
                 .chunks_exact(self.n_funcs.max(1))
                 .all(|c| prob::is_simplex(c, 1e-6))
             && self
+                .task
                 .dt
                 .chunks_exact(self.n_funcs.max(1))
                 .all(|c| prob::is_simplex(c, 1e-6))

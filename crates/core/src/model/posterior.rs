@@ -130,6 +130,16 @@ impl AnswerTerms {
     pub fn n_funcs(&self) -> usize {
         self.g.len()
     }
+
+    /// The prepared `g_a` (the `d_w` partial likelihoods).
+    pub(crate) fn g(&self) -> &[f64] {
+        &self.g
+    }
+
+    /// The prepared `h_b` (the `d_t` partial likelihoods).
+    pub(crate) fn h(&self) -> &[f64] {
+        &self.h
+    }
 }
 
 /// Computes the posterior of one answer bit from per-answer terms already
@@ -138,7 +148,8 @@ impl AnswerTerms {
 ///
 /// Arithmetic is identical, expression for expression, to [`factored`] —
 /// the terms are merely hoisted out of the per-bit loop — so the two paths
-/// produce bit-identical posteriors.
+/// produce bit-identical posteriors. The EM sweeps run the same
+/// `BitMasses` arithmetic without materialising a [`Posterior`].
 #[inline]
 pub fn factored_prepared(
     terms: &AnswerTerms,
@@ -155,56 +166,113 @@ pub fn factored_prepared(
     debug_assert_eq!(out.dw.len(), n);
     debug_assert_eq!(out.dt.len(), n);
 
-    let pz0 = 1.0 - pz1;
-    let pi0 = 1.0 - pi1;
-
-    // Branch masses over (z, i); Case 1–4 of Equation 12.
-    let m_z1_i0 = pz1 * pi0 * 0.5;
-    let m_z0_i0 = pz0 * pi0 * 0.5;
-    // A qualified worker matches the truth with probability q.
-    let (lik_match, lik_mismatch) = (terms.q, 1.0 - terms.q);
-    let (l_z1, l_z0) = if r {
-        (lik_match, lik_mismatch) // r = 1: matches z = 1
-    } else {
-        (lik_mismatch, lik_match) // r = 0: matches z = 0
-    };
-    let m_z1_i1 = pz1 * pi1 * l_z1;
-    let m_z0_i1 = pz0 * pi1 * l_z0;
-
-    let total = m_z1_i0 + m_z0_i0 + m_z1_i1 + m_z0_i1;
-    out.likelihood = total;
-    if total <= 0.0 {
-        // Degenerate priors; fall back to uninformative posteriors.
-        out.z1 = 0.5;
-        out.i1 = 0.5;
-        let uniform = 1.0 / n as f64;
-        out.dw.fill(uniform);
-        out.dt.fill(uniform);
-        return;
+    let m = BitMasses::new(terms.q, pz1, pi1, r);
+    out.likelihood = m.likelihood;
+    out.z1 = m.z1;
+    out.i1 = m.i1;
+    for (dw, v) in out.dw.iter_mut().zip(mixture_weights(&m, pdw, &terms.g)) {
+        *dw = v;
     }
-    let inv = 1.0 / total;
-    out.z1 = (m_z1_i0 + m_z1_i1) * inv;
-    out.i1 = (m_z1_i1 + m_z0_i1) * inv;
+    for (dt, v) in out.dt.iter_mut().zip(mixture_weights(&m, pdt, &terms.h)) {
+        *dt = v;
+    }
+}
 
-    // d_w marginal: i = 0 branches keep the prior over d_w; in the i = 1
-    // branch d_t is summed out of q_ab, leaving g_a.
-    let m_i0 = m_z1_i0 + m_z0_i0;
-    for (dw, (&p, &g_a)) in out.dw.iter_mut().zip(pdw.iter().zip(&terms.g)) {
-        let (l1, l0) = if r {
-            (g_a, 1.0 - g_a)
+/// The `(z, i)` branch masses of one answer bit (Cases 1–4 of Equation 12)
+/// under a prepared quality `q̄`, with the two scalar marginals already
+/// normalised. Both sides of the EM sweep derive everything they
+/// accumulate from this one value, so the task side (`z1`, the `d_t`
+/// mixture) and the worker side (`i1`, the `d_w` mixture) see the same
+/// bits whether they run in one pass or on two threads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BitMasses {
+    /// `P(r)` — the normaliser.
+    pub(crate) likelihood: f64,
+    /// `P(z = 1 | r)`.
+    pub(crate) z1: f64,
+    /// `P(i_w = 1 | r)`.
+    pub(crate) i1: f64,
+    m_i0: f64,
+    pi1: f64,
+    /// The label prior of the truth value `r` agrees with, and of the one
+    /// it contradicts.
+    p_match: f64,
+    p_miss: f64,
+    inv: f64,
+}
+
+impl BitMasses {
+    #[inline]
+    pub(crate) fn new(q: f64, pz1: f64, pi1: f64, r: bool) -> Self {
+        let pz0 = 1.0 - pz1;
+        let pi0 = 1.0 - pi1;
+        let m_z1_i0 = pz1 * pi0 * 0.5;
+        let m_z0_i0 = pz0 * pi0 * 0.5;
+        // A qualified worker matches the truth with probability q.
+        let (l_z1, l_z0) = if r { (q, 1.0 - q) } else { (1.0 - q, q) };
+        let m_z1_i1 = pz1 * pi1 * l_z1;
+        let m_z0_i1 = pz0 * pi1 * l_z0;
+        let likelihood = m_z1_i0 + m_z0_i0 + m_z1_i1 + m_z0_i1;
+        let inv = 1.0 / likelihood;
+        // Degenerate priors fall back to uninformative posteriors.
+        let (z1, i1) = if likelihood <= 0.0 {
+            (0.5, 0.5)
         } else {
-            (1.0 - g_a, g_a)
+            ((m_z1_i0 + m_z1_i1) * inv, (m_z1_i1 + m_z0_i1) * inv)
         };
-        *dw = p * (m_i0 + pi1 * (pz1 * l1 + pz0 * l0)) * inv;
+        let (p_match, p_miss) = if r { (pz1, pz0) } else { (pz0, pz1) };
+        Self {
+            likelihood,
+            z1,
+            i1,
+            m_i0: m_z1_i0 + m_z0_i0,
+            pi1,
+            p_match,
+            p_miss,
+            inv,
+        }
     }
-    for (dt, (&p, &h_b)) in out.dt.iter_mut().zip(pdt.iter().zip(&terms.h)) {
-        let (l1, l0) = if r {
-            (h_b, 1.0 - h_b)
-        } else {
-            (1.0 - h_b, h_b)
-        };
-        *dt = p * (m_i0 + pi1 * (pz1 * l1 + pz0 * l0)) * inv;
+
+    /// `ln max(P(r), EPS)` — the bit's log-likelihood term.
+    #[inline]
+    pub(crate) fn ln_likelihood(&self) -> f64 {
+        self.likelihood.max(crate::prob::EPS).ln()
     }
+
+    /// `true` when the bit has zero mass under the priors; its mixture
+    /// posteriors are then uniform (`1 / |F|`).
+    #[inline]
+    pub(crate) fn is_degenerate(&self) -> bool {
+        self.likelihood <= 0.0
+    }
+
+    /// The posterior weight of one mixture component of a non-degenerate
+    /// bit: `p` is its prior and `x` its partial likelihood with the other
+    /// mixture summed out (`g_a` for `d_w`, `h_b` for `d_t`). The `i = 0`
+    /// branches keep the prior. Equal, bit for bit, to
+    /// `p·(m_i0 + P(i)·(P(z=1)·l1 + P(z=0)·l0))/P(r)` with
+    /// `(l1, l0) = r ? (x, 1−x) : (1−x, x)`: the two products are only
+    /// summed in the other order when `r = 0`, and IEEE addition commutes.
+    #[inline]
+    pub(crate) fn mixture(&self, p: f64, x: f64) -> f64 {
+        p * (self.m_i0 + self.pi1 * (self.p_match * x + self.p_miss * (1.0 - x))) * self.inv
+    }
+}
+
+/// The posterior weights of every component of one distance mixture for
+/// bit `m`, in component order: `priors` are the mixture's `P(d = f_j)` and
+/// `partial` its `g_a` or `h_b`. Uniform when the bit is degenerate.
+#[inline]
+pub(crate) fn mixture_weights<'a>(
+    m: &'a BitMasses,
+    priors: &'a [f64],
+    partial: &'a [f64],
+) -> impl Iterator<Item = f64> + 'a {
+    let uniform = m.is_degenerate().then(|| 1.0 / priors.len() as f64);
+    priors
+        .iter()
+        .zip(partial)
+        .map(move |(&p, &x)| uniform.unwrap_or_else(|| m.mixture(p, x)))
 }
 
 /// Computes the posterior in `O(|F|)` using the factorised form.

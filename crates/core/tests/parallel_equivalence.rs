@@ -1,30 +1,36 @@
-//! Bit-for-bit equivalence of the data-parallel EM sweeps and the
+//! Bit-for-bit equivalence of the side-split EM sweeps and the
 //! geometry-cache-backed ACCOPT scoring with their sequential paths.
 //!
-//! Parallelism here is a pure throughput knob: the E-step only computes
-//! per-bit posteriors in the parallel phase (pure in the frozen
-//! parameters), and the accumulation into sufficient statistics stays
-//! sequential in answer-index order with exactly the operands of the
-//! single-threaded sweep. These tests pin that contract — every thread
-//! count must reproduce the sequential path (and the naive oracle) bit
-//! for bit, including the log-likelihood series, and geometry-backed
-//! ACCOPT scoring must reproduce the re-evaluating scorer exactly.
+//! Parallelism here is a pure throughput knob: with two threads each EM
+//! sweep splits by side — the calling thread accumulates the task-side
+//! statistics, one helper the worker-side ones — and both sides visit every
+//! answer in answer order, so every accumulator cell receives exactly the
+//! additions of the single-threaded sweep. These tests pin that contract:
+//! every thread count must reproduce the sequential path (and the naive
+//! oracle) bit for bit, including the log-likelihood and delta series, on
+//! every rebuild path — full sweeps, dirty-set sweeps, gossip-pooled and
+//! frozen-baseline (pruned) rebuilds — and geometry-backed ACCOPT scoring
+//! must reproduce the re-evaluating scorer exactly.
+
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use crowd_core::accuracy::AccuracyEstimator;
+use crowd_core::model::WorkerStatDelta;
 use crowd_core::model::{
     run_em, run_em_geometry_threads, run_em_naive, AnswerGeometry, EmConfig, EmParallelism,
     EmReport, OnlineModel, UpdatePolicy,
 };
 use crowd_core::{
     synthetic_task, AccOptAssigner, Answer, AnswerLog, AssignContext, Assigner,
-    DistanceFunctionSet, Distances, InitStrategy, LabelBits, ModelParams, ReservationSet, TaskId,
-    TaskSet, Worker, WorkerId, WorkerPool,
+    DistanceFunctionSet, Distances, InitStrategy, LabelBits, ModelParams, Recorder, RecorderHandle,
+    ReservationSet, TaskId, TaskSet, Worker, WorkerId, WorkerPool,
 };
 use crowd_geo::Point;
 use proptest::prelude::*;
 
-/// Thread counts the equivalence gate sweeps: sequential, even split,
-/// uneven split, and more threads than most test logs have answers.
+/// Thread counts the equivalence gate sweeps: sequential, the side split,
+/// and counts above its two-thread cap (which must run the same split).
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 fn build_world(
@@ -75,10 +81,23 @@ fn build_world(
     (tasks, workers, log, stream)
 }
 
-/// Asserts two EM runs are the same run: identical parameters and an
-/// identical per-iteration log-likelihood series, bit for bit.
+/// Asserts two parameter sets are equal bit for bit.
+fn assert_same_params(a: &ModelParams, b: &ModelParams) {
+    let bits = |p: &ModelParams| -> Vec<u64> {
+        [p.z(), p.inherent_all(), p.dw_flat(), p.dt_flat()]
+            .concat()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    assert_eq!(bits(a), bits(b), "parameters diverged");
+}
+
+/// Asserts two EM runs are the same run: identical parameters and
+/// identical per-iteration log-likelihood and delta series, bit for bit.
 fn assert_same_run(a: &ModelParams, ra: &EmReport, b: &ModelParams, rb: &EmReport) {
-    assert_eq!(a.max_abs_diff(b), 0.0, "parameters diverged");
+    assert_same_params(a, b);
+    assert_eq!(ra.full_sweep, rb.full_sweep);
     assert_eq!(ra.iterations, rb.iterations);
     assert_eq!(ra.converged, rb.converged);
     assert_eq!(ra.answers_swept, rb.answers_swept);
@@ -93,9 +112,220 @@ fn assert_same_run(a: &ModelParams, ra: &EmReport, b: &ModelParams, rb: &EmRepor
     {
         assert_eq!(x.to_bits(), y.to_bits(), "log-likelihood series diverged");
     }
+    assert_eq!(ra.max_delta_history.len(), rb.max_delta_history.len());
     for (x, y) in ra.max_delta_history.iter().zip(&rb.max_delta_history) {
         assert_eq!(x.to_bits(), y.to_bits(), "delta series diverged");
     }
+}
+
+/// Records the E-step thread count of every rebuild, so a test can prove
+/// which path actually ran.
+#[derive(Default)]
+struct ThreadLog(Mutex<Vec<usize>>);
+
+impl Recorder for ThreadLog {
+    fn em_rebuild(&self, _took: Duration, _full_sweep: bool, _swept: usize, threads: usize) {
+        self.0.lock().unwrap().push(threads);
+    }
+
+    fn assignment(&self, _took: Duration, _pairs: usize) {}
+}
+
+/// A `Fixed(1)` and a `Fixed(2)` online model under the same policy, the
+/// second recording its rebuilds' thread counts.
+struct Pair {
+    sequential: OnlineModel,
+    split: OnlineModel,
+    threads: Arc<ThreadLog>,
+}
+
+impl Pair {
+    fn new(tasks: &TaskSet, n_workers: usize, policy: UpdatePolicy) -> Self {
+        let empty = AnswerLog::new(tasks.len(), n_workers);
+        let config = EmConfig {
+            max_iterations: 8,
+            ..EmConfig::default()
+        };
+        let model = |parallelism| {
+            let policy = UpdatePolicy {
+                parallelism,
+                ..policy
+            };
+            OnlineModel::new(tasks, &empty, config.clone(), policy)
+        };
+        let mut split = model(EmParallelism::Fixed(2));
+        let threads = Arc::new(ThreadLog::default());
+        split.set_recorder(RecorderHandle::new(
+            Arc::clone(&threads) as Arc<dyn Recorder>
+        ));
+        Self {
+            sequential: model(EmParallelism::Fixed(1)),
+            split,
+            threads,
+        }
+    }
+
+    fn both(&mut self, mut f: impl FnMut(&mut OnlineModel)) {
+        f(&mut self.sequential);
+        f(&mut self.split);
+    }
+
+    /// The latest rebuild ran on two threads in the split model and gave
+    /// the sequential model's run, bit for bit.
+    fn assert_split_rebuild_matches(&self) {
+        assert_eq!(
+            self.threads.0.lock().unwrap().last(),
+            Some(&2),
+            "the side split did not run"
+        );
+        assert_same_run(
+            self.sequential.params(),
+            self.sequential.last_report().expect("a rebuild ran"),
+            self.split.params(),
+            self.split.last_report().expect("a rebuild ran"),
+        );
+    }
+}
+
+/// A sparse world where a handful of fresh answers dirty a few hundred old
+/// ones without covering most of the log: 300 workers answering 3 of 200
+/// tasks each, in worker order.
+fn sparse_stream() -> (TaskSet, AnswerLog, Vec<Answer>) {
+    let answers: Vec<(u32, u32, u16, f64)> = (0..300u32)
+        .flat_map(|w| {
+            (0..3u32).map(move |j| {
+                let t = (w * 7 + j * 53) % 200;
+                let bits = (w * 31 + j * 17 + t) as u16;
+                (w, t, bits, f64::from((w + 3 * j) % 10) / 10.0)
+            })
+        })
+        .collect();
+    let (tasks, _, log, stream) = build_world(200, 300, 3, &answers);
+    (tasks, log, stream)
+}
+
+/// Dirty-set rebuilds (subtract, then re-add under current parameters)
+/// are the same run on two threads as on one, for a dirty set above the
+/// small-log floor and below the full-sweep coverage fallback.
+#[test]
+fn split_dirty_sweep_matches_sequential_bit_for_bit() {
+    let (tasks, full_log, stream) = sparse_stream();
+    let policy = UpdatePolicy {
+        full_em_every: None,
+        full_sweep_every: 16,
+        ..UpdatePolicy::default()
+    };
+    let mut pair = Pair::new(&tasks, full_log.n_workers(), policy);
+    let fresh = 70;
+    let mut log = AnswerLog::new(tasks.len(), full_log.n_workers());
+    for answer in &stream[..stream.len() - fresh] {
+        log.push(&tasks, *answer).unwrap();
+        pair.both(|m| m.absorb(&tasks, answer));
+    }
+    pair.both(|m| m.full_sweep(&tasks, &log));
+    pair.assert_split_rebuild_matches();
+    for answer in &stream[stream.len() - fresh..] {
+        log.push(&tasks, *answer).unwrap();
+        pair.both(|m| m.absorb(&tasks, answer));
+    }
+    pair.both(|m| m.full_em(&tasks, &log));
+    let report = pair.split.last_report().unwrap();
+    assert!(!report.full_sweep, "expected a dirty-set rebuild");
+    assert!(report.answers_swept >= EmParallelism::SMALL_LOG_FLOOR);
+    assert!(report.answers_swept * 100 <= log.len() * policy.dirty_coverage_fallback);
+    pair.assert_split_rebuild_matches();
+    // The next rebuild re-sweeps the same dirty answers from their
+    // refreshed cached contributions.
+    pair.both(|m| m.full_sweep(&tasks, &log));
+    pair.assert_split_rebuild_matches();
+}
+
+/// Gossip-pooled rebuilds are the same run on two threads as on one, with
+/// peers covering workers the local log has never seen.
+#[test]
+fn split_gossip_pooled_rebuild_matches_sequential_bit_for_bit() {
+    let (tasks, log, stream) = sparse_stream();
+    let policy = UpdatePolicy {
+        full_em_every: None,
+        full_sweep_every: 16,
+        ..UpdatePolicy::default()
+    };
+    let mut pair = Pair::new(&tasks, log.n_workers(), policy);
+    for answer in &stream {
+        pair.both(|m| m.absorb(&tasks, answer));
+    }
+    pair.both(|m| m.full_sweep(&tasks, &log));
+    // A peer with bits for every third local worker and for 60 workers
+    // beyond the local pool.
+    let n_funcs = 3;
+    let n_peer_workers = log.n_workers() + 60;
+    let mut peer = WorkerStatDelta {
+        source: 7,
+        version: 1,
+        n_funcs,
+        i_sum: vec![0.0; n_peer_workers],
+        worker_bits: vec![0; n_peer_workers],
+        dw_sum: vec![0.0; n_peer_workers * n_funcs],
+    };
+    for w in (0..n_peer_workers).filter(|w| w % 3 == 0 || *w >= log.n_workers()) {
+        let bits = 3 + (w % 5) as u32;
+        peer.worker_bits[w] = bits;
+        peer.i_sum[w] = f64::from(bits) * (0.3 + (w % 7) as f64 / 10.0);
+        let dw = &mut peer.dw_sum[w * n_funcs..(w + 1) * n_funcs];
+        dw.copy_from_slice(&[0.5, 0.3, 0.2].map(|share| share * f64::from(bits)));
+    }
+    pair.both(|m| assert!(m.fold_peer_stats(&tasks, &peer)));
+    // The fold dirties the covered local workers: a pooled rebuild.
+    pair.both(|m| m.full_em(&tasks, &log));
+    pair.assert_split_rebuild_matches();
+    pair.both(|m| m.full_sweep(&tasks, &log));
+    pair.assert_split_rebuild_matches();
+    assert!(pair.split.params().n_workers() >= n_peer_workers);
+}
+
+/// A pruned model's full sweep — the retained suffix re-swept over the
+/// frozen baseline of the pruned prefix — is the same run on two threads
+/// as on one, and so is the statistics rebuild that follows it.
+#[test]
+fn split_frozen_baseline_sweep_matches_sequential_bit_for_bit() {
+    let (tasks, full_log, stream) = sparse_stream();
+    let policy = UpdatePolicy {
+        full_em_every: None,
+        full_sweep_every: 16,
+        ..UpdatePolicy::default()
+    };
+    let mut pair = Pair::new(&tasks, full_log.n_workers(), policy);
+    let mut log = AnswerLog::new(tasks.len(), full_log.n_workers());
+    let (prefix, suffix) = stream.split_at(stream.len() / 2);
+    assert!(suffix.len() >= EmParallelism::SMALL_LOG_FLOOR);
+    for answer in prefix {
+        log.push(&tasks, *answer).unwrap();
+        pair.both(|m| m.absorb(&tasks, answer));
+    }
+    pair.both(|m| m.full_sweep(&tasks, &log));
+    pair.both(|m| assert!(m.prune_frozen(&log)));
+    log.prune_retained();
+    for answer in suffix {
+        log.push(&tasks, *answer).unwrap();
+        pair.both(|m| m.absorb(&tasks, answer));
+    }
+    pair.both(|m| m.full_sweep(&tasks, &log));
+    pair.assert_split_rebuild_matches();
+    assert_eq!(
+        pair.split.last_report().unwrap().answers_swept,
+        suffix.len()
+    );
+    // Same state after the sweep: absorbing one more answer into each
+    // reads the rebuilt statistics.
+    let extra = Answer {
+        worker: WorkerId(0),
+        task: TaskId(199),
+        bits: LabelBits::from_slice(&[true, false, true]),
+        distance: 0.25,
+    };
+    log.push(&tasks, extra).unwrap();
+    pair.both(|m| m.absorb(&tasks, &extra));
+    assert_same_params(pair.sequential.params(), pair.split.params());
 }
 
 /// Runs batch EM at `threads` from a fresh VoteShare init.
@@ -113,9 +343,8 @@ fn run_at(
 
 #[test]
 fn parallel_em_handles_degenerate_logs() {
-    // Empty log, one answer, and chunk counts exceeding the answer count
-    // (some chunks empty) — the boundary cases of the fixed
-    // `c*n/threads` chunking.
+    // Empty log, one answer, and a handful: the side split's boundary
+    // cases (the log-likelihood halves split at `n / 2`, possibly empty).
     let cases: &[&[(u32, u32, u16, f64)]] = &[
         &[],
         &[(0, 0, 0b101, 0.3)],
@@ -146,22 +375,34 @@ fn parallel_em_handles_degenerate_logs() {
 
 #[test]
 fn effective_parallelism_floors_small_logs_and_caps_at_answers() {
-    assert_eq!(EmParallelism::Fixed(8).effective(10), 1, "below the floor");
-    assert_eq!(EmParallelism::Fixed(8).effective(0), 1);
-    assert_eq!(EmParallelism::Fixed(8).effective(64), 8);
+    let floor = EmParallelism::SMALL_LOG_FLOOR;
     assert_eq!(
-        EmParallelism::Fixed(200).effective(100),
-        100,
-        "never more threads than answers"
+        EmParallelism::Fixed(8).effective(floor - 1),
+        1,
+        "below the floor"
+    );
+    assert_eq!(EmParallelism::Fixed(8).effective(0), 1);
+    assert_eq!(
+        EmParallelism::Fixed(8).effective(floor),
+        2,
+        "a sweep has two sides"
+    );
+    assert_eq!(EmParallelism::Fixed(200).effective(100 * floor), 2);
+    assert_eq!(EmParallelism::Fixed(1).effective(100 * floor), 1);
+    assert_eq!(
+        EmParallelism::Fixed(8).resolve(),
+        8,
+        "ACCOPT keeps the full count"
     );
     assert_eq!(EmParallelism::Fixed(0).resolve(), 1, "zero means one");
     assert!(EmParallelism::Auto.resolve() >= 1);
+    assert!(EmParallelism::Auto.effective(floor) <= 2);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Acceptance gate: data-parallel batch EM is the *same run* as the
+    /// Acceptance gate: side-split batch EM is the *same run* as the
     /// sequential path and the naive oracle for every thread count.
     #[test]
     fn parallel_em_is_bit_identical_for_every_thread_count(
@@ -188,22 +429,22 @@ proptest! {
 
     /// The online estimator — delayed full sweeps, dirty-set sweeps, and
     /// stat rebuilds — produces bit-identical parameters under any fixed
-    /// parallelism. Streams are long enough (≥ 64-answer log) to clear
-    /// the small-log floor so the parallel machinery actually engages.
+    /// parallelism. Streams run well past the small-log floor so the side
+    /// split actually engages on the later rebuilds.
     #[test]
     fn online_model_is_bit_identical_across_parallelism(
         every in 10usize..30,
         full_sweep_every in 1usize..4,
         seed_answers in prop::collection::vec(
             (0u32..40, 0u32..60, 0u16..u16::MAX, 0.0f64..1.0),
-            100..140,
+            EmParallelism::SMALL_LOG_FLOOR + 40..EmParallelism::SMALL_LOG_FLOOR + 80,
         ),
     ) {
         let (tasks, _, full_log, stream) = build_world(30, 24, 3, &seed_answers);
         // Dedup in `build_world` can shrink the stream; only streams long
-        // enough to clear the 64-answer small-log floor exercise the
-        // parallel machinery, so skip the rare degenerate draw.
-        if stream.len() < 80 {
+        // enough to clear the small-log floor exercise the side split, so
+        // skip the rare degenerate draw.
+        if stream.len() < EmParallelism::SMALL_LOG_FLOOR + 20 {
             return Ok(());
         }
         let config = EmConfig { max_iterations: 6, ..EmConfig::default() };
@@ -217,24 +458,28 @@ proptest! {
         let mut sequential = OnlineModel::new(
             &tasks, &empty, config.clone(), policy(EmParallelism::Fixed(1)),
         );
-        let mut parallel = OnlineModel::new(
-            &tasks, &empty, config.clone(), policy(EmParallelism::Fixed(3)),
-        );
+        let mut parallel = [2, 3].map(|threads| OnlineModel::new(
+            &tasks, &empty, config.clone(), policy(EmParallelism::Fixed(threads)),
+        ));
         let mut replay = AnswerLog::new(tasks.len(), full_log.n_workers());
         for answer in &stream {
             replay.push(&tasks, *answer).expect("replaying a valid stream");
             let a = sequential.on_submit(&tasks, &replay, answer);
-            let b = parallel.on_submit(&tasks, &replay, answer);
-            prop_assert_eq!(a, b, "rebuild triggers diverged");
-            prop_assert_eq!(
-                sequential.params().max_abs_diff(parallel.params()), 0.0,
-                "online parameters diverged"
-            );
+            for model in &mut parallel {
+                let b = model.on_submit(&tasks, &replay, answer);
+                prop_assert_eq!(a, b, "rebuild triggers diverged");
+                prop_assert_eq!(
+                    sequential.params().max_abs_diff(model.params()), 0.0,
+                    "online parameters diverged"
+                );
+            }
         }
         // The hardening full sweep too.
         sequential.full_sweep(&tasks, &replay);
-        parallel.full_sweep(&tasks, &replay);
-        prop_assert_eq!(sequential.params().max_abs_diff(parallel.params()), 0.0);
+        for model in &mut parallel {
+            model.full_sweep(&tasks, &replay);
+            assert_same_params(sequential.params(), model.params());
+        }
     }
 
     /// The cached-fvals accuracy estimator equals the re-evaluating one

@@ -19,7 +19,7 @@
 
 use std::sync::atomic::Ordering;
 
-use crowd_core::{Assignment, CoreError, LabelBits, TaskId, Worker, WorkerId};
+use crowd_core::{Assignment, CoreError, EmParallelism, LabelBits, TaskId, Worker, WorkerId};
 use crowd_geo::Point;
 use crowd_obs::{Histogram, PromText};
 
@@ -504,8 +504,8 @@ fn metrics_json(state: &ServerState, hub: &ObsHub, m: &ServiceMetrics) -> Json {
             obj(vec![
                 ("queue_wait", summary_json(&hub.queue_wait)),
                 ("apply", summary_json(&hub.apply)),
-                ("em_full", summary_json(&hub.em_full)),
-                ("em_dirty", summary_json(&hub.em_dirty)),
+                ("em_full", summary_json(&hub.em_full.total())),
+                ("em_dirty", summary_json(&hub.em_dirty.total())),
                 ("assign", summary_json(&hub.assign)),
                 ("gossip_round", summary_json(&hub.gossip_round)),
                 ("snapshot", summary_json(&hub.snapshot)),
@@ -612,22 +612,24 @@ fn metrics_prometheus(state: &ServerState, hub: &ObsHub, m: &ServiceMetrics) -> 
         &[],
         &hub.apply,
     );
-    // The `threads` label reports the E-step thread count of the most
-    // recent rebuild (1 = sequential); parallel EM is bit-identical, so
-    // the label only partitions *durations*, never results.
-    let em_threads = hub.em_threads.load(Ordering::Relaxed).to_string();
-    out.histogram_ns(
-        "crowd_em_rebuild_seconds",
-        "EM rebuild duration by sweep kind",
-        &[("sweep", "full"), ("threads", &em_threads)],
-        &hub.em_full,
-    );
-    out.histogram_ns(
-        "crowd_em_rebuild_seconds",
-        "EM rebuild duration by sweep kind",
-        &[("sweep", "dirty"), ("threads", &em_threads)],
-        &hub.em_dirty,
-    );
+    // One series per (sweep kind, E-step thread count each rebuild ran
+    // with): 1 = sequential, 2 = side split. The split is bit-identical,
+    // so the label partitions *durations*, never results. The sequential
+    // series is always present; the split one appears with its first
+    // sample.
+    for (sweep, rebuilds) in [("full", &hub.em_full), ("dirty", &hub.em_dirty)] {
+        for threads in 1..=EmParallelism::MAX_SWEEP_THREADS {
+            let h = rebuilds.threads(threads);
+            if threads == 1 || !h.is_empty() {
+                out.histogram_ns(
+                    "crowd_em_rebuild_seconds",
+                    "EM rebuild duration by sweep kind and E-step threads",
+                    &[("sweep", sweep), ("threads", &threads.to_string())],
+                    h,
+                );
+            }
+        }
+    }
     out.histogram_ns(
         "crowd_assign_seconds",
         "Assignment-round duration",

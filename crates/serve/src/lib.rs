@@ -136,7 +136,7 @@ pub mod spill;
 pub use http::{HttpConfig, HttpServer};
 pub use json::{Json, JsonError};
 pub use metrics::{ServiceMetrics, ShardMetrics, ShardMetricsSnapshot};
-pub use obs::{CoreRecorder, ObsHub};
+pub use obs::{CoreRecorder, EmRebuilds, ObsHub};
 pub use service::{
     CampaignPool, HandoffReport, LabellingService, RetentionPolicy, ServeConfig, ServeError,
     ServiceHandle,

@@ -14,11 +14,10 @@
 //! it, and a restored service starts a fresh one (documented in
 //! `docs/OBSERVABILITY.md`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crowd_core::Recorder;
+use crowd_core::{EmParallelism, Recorder};
 use crowd_obs::{GaugeSeries, Histogram, TraceBuf};
 
 /// Buffered trace events before the ring drops the oldest.
@@ -36,9 +35,9 @@ pub struct ObsHub {
     /// here *and* in the EM histograms).
     pub apply: Histogram,
     /// Full-sweep EM rebuild durations.
-    pub em_full: Histogram,
+    pub em_full: EmRebuilds,
     /// Dirty-set EM rebuild durations.
-    pub em_dirty: Histogram,
+    pub em_dirty: EmRebuilds,
     /// Assignment-round durations (the assigner's inner loop).
     pub assign: Histogram,
     /// Gossip publish + fold round durations.
@@ -55,10 +54,55 @@ pub struct ObsHub {
     pub queue_depth_series: GaugeSeries,
     /// Self-sampled total recorded-event-log length over time.
     pub events_len_series: GaugeSeries,
-    /// Effective E-step thread count of the most recent EM rebuild (1 =
-    /// sequential; exposed as the `crowd_shard_em_threads` gauge and as
-    /// the `threads` label on the EM histograms).
-    pub em_threads: AtomicU64,
+}
+
+/// EM rebuild durations of one sweep kind, kept apart by the E-step
+/// thread count each rebuild ran with (1 = sequential, 2 = side split),
+/// so every sample keeps the count it was recorded under.
+#[derive(Debug)]
+pub struct EmRebuilds {
+    by_threads: [Histogram; EmParallelism::MAX_SWEEP_THREADS],
+}
+
+impl EmRebuilds {
+    /// Empty histograms.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            by_threads: [Histogram::new(), Histogram::new()],
+        }
+    }
+
+    /// Records one rebuild that ran on `threads` E-step threads.
+    pub fn record(&self, took: Duration, threads: usize) {
+        self.by_threads[threads.clamp(1, EmParallelism::MAX_SWEEP_THREADS) - 1]
+            .record_duration(took);
+    }
+
+    /// The rebuilds that ran on `threads` (1 or 2) E-step threads.
+    ///
+    /// # Panics
+    /// Panics if `threads` is not 1 or 2.
+    #[must_use]
+    pub fn threads(&self, threads: usize) -> &Histogram {
+        &self.by_threads[threads - 1]
+    }
+
+    /// Every rebuild of this kind, whatever its thread count.
+    #[must_use]
+    pub fn total(&self) -> Histogram {
+        let total = Histogram::new();
+        for h in &self.by_threads {
+            total.merge_from(h);
+        }
+        total
+    }
+}
+
+impl Default for EmRebuilds {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ObsHub {
@@ -68,8 +112,8 @@ impl ObsHub {
         Self {
             queue_wait: Histogram::new(),
             apply: Histogram::new(),
-            em_full: Histogram::new(),
-            em_dirty: Histogram::new(),
+            em_full: EmRebuilds::new(),
+            em_dirty: EmRebuilds::new(),
             assign: Histogram::new(),
             gossip_round: Histogram::new(),
             snapshot: Histogram::new(),
@@ -77,7 +121,6 @@ impl ObsHub {
             trace: TraceBuf::new(TRACE_CAP),
             queue_depth_series: GaugeSeries::new(SERIES_CAP),
             events_len_series: GaugeSeries::new(SERIES_CAP),
-            em_threads: AtomicU64::new(1),
         }
     }
 }
@@ -106,11 +149,10 @@ impl CoreRecorder {
 
 impl Recorder for CoreRecorder {
     fn em_rebuild(&self, took: Duration, full_sweep: bool, _answers_swept: usize, threads: usize) {
-        self.hub.em_threads.store(threads as u64, Ordering::Relaxed);
         if full_sweep {
-            self.hub.em_full.record_duration(took);
+            self.hub.em_full.record(took, threads);
         } else {
-            self.hub.em_dirty.record_duration(took);
+            self.hub.em_dirty.record(took, threads);
         }
     }
 
@@ -127,14 +169,20 @@ mod tests {
     fn core_recorder_splits_em_by_sweep_kind() {
         let hub = Arc::new(ObsHub::new());
         let rec = CoreRecorder::new(Arc::clone(&hub));
-        rec.em_rebuild(Duration::from_micros(5), true, 100, 4);
+        rec.em_rebuild(Duration::from_micros(5), true, 100, 2);
         rec.em_rebuild(Duration::from_micros(2), false, 10, 1);
         rec.em_rebuild(Duration::from_micros(3), false, 12, 1);
+        rec.em_rebuild(Duration::from_micros(7), true, 50, 1);
         rec.assignment(Duration::from_micros(1), 4);
-        assert_eq!(hub.em_full.count(), 1);
-        assert_eq!(hub.em_dirty.count(), 2);
+        assert_eq!(hub.em_full.total().count(), 2);
+        assert_eq!(hub.em_dirty.total().count(), 2);
         assert_eq!(hub.assign.count(), 1);
-        assert_eq!(hub.em_full.sum(), 5_000);
-        assert_eq!(hub.em_threads.load(Ordering::Relaxed), 1);
+        assert_eq!(hub.em_full.total().sum(), 12_000);
+        // Each sample keeps the thread count it ran with: the later
+        // sequential rebuild does not relabel the earlier split one.
+        assert_eq!(hub.em_full.threads(2).sum(), 5_000);
+        assert_eq!(hub.em_full.threads(1).sum(), 7_000);
+        assert_eq!(hub.em_dirty.threads(1).count(), 2);
+        assert!(hub.em_dirty.threads(2).is_empty());
     }
 }

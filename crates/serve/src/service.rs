@@ -1295,10 +1295,10 @@ impl CampaignPool {
             .iter()
             .map(|&b| ShardMetrics::with_budget(b))
             .collect();
-        // Every shard's model sweeps with the same resolved thread count;
+        // Every shard's model sweeps with the same capped thread count;
         // seed the gauge once so /metrics reports it before the first
         // rebuild fires.
-        let em_threads = config.policy.parallelism.resolve() as u64;
+        let em_threads = config.policy.parallelism.sweep_threads() as u64;
         for m in &metrics {
             m.set_em_threads(em_threads);
         }

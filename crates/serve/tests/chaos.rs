@@ -10,7 +10,8 @@
 //! 4. every shard's final state equals a deterministic single-threaded
 //!    replay of its recorded event stream — answers in arrival order with
 //!    registrations applied at their recorded positions — and the whole
-//!    service survives a snapshot → restore round trip.
+//!    service survives a snapshot → restore round trip. The live services
+//!    sweep EM on two threads and the replay on one.
 //!
 //! Gossip stays off here: the storm already republishes the map under
 //! racing traffic, and the gossip × ingestion race has its own suite in
@@ -19,7 +20,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crowd_core::{
-    synthetic_task, Framework, LabelBits, TaskId, TaskSet, Worker, WorkerId, WorkerPool,
+    synthetic_task, EmParallelism, Framework, FrameworkConfig, LabelBits, TaskId, TaskSet,
+    UpdatePolicy, Worker, WorkerId, WorkerPool,
 };
 use crowd_geo::Point;
 use crowd_serve::{CampaignPool, GossipEventKind, LabellingService, ServeConfig};
@@ -51,6 +53,24 @@ fn world() -> (TaskSet, WorkerPool) {
     )
     .unwrap();
     (tasks, workers)
+}
+
+/// The live services sweep with the two-thread side split whatever the
+/// runner's core count, and the replay oracle ([`sequential`]) with one
+/// thread, so every replay comparison checks the split sweep against the
+/// sequential one.
+fn split_policy() -> UpdatePolicy {
+    UpdatePolicy {
+        parallelism: EmParallelism::Fixed(2),
+        ..UpdatePolicy::default()
+    }
+}
+
+/// `config` pinned to the sequential sweep.
+fn sequential(config: &FrameworkConfig) -> FrameworkConfig {
+    let mut config = config.clone();
+    config.policy.parallelism = EmParallelism::Fixed(1);
+    config
 }
 
 fn bits_for(w: WorkerId, t: TaskId) -> LabelBits {
@@ -100,7 +120,7 @@ fn assert_shard_equals_replay(
     let mut replay = Framework::with_distances(
         live.tasks().clone(),
         base_workers.clone(),
-        live.config().clone(),
+        sequential(live.config()),
         *live.distances(),
     );
     let mut next_event = 0usize;
@@ -204,6 +224,7 @@ fn split_merge_storm_with_registration_across_two_campaigns() {
             queue_capacity: 64,
             budget: budget_a,
             h: 2,
+            policy: split_policy(),
             ..ServeConfig::default()
         },
     );
@@ -215,6 +236,7 @@ fn split_merge_storm_with_registration_across_two_campaigns() {
             queue_capacity: 64,
             budget: budget_b,
             h: 2,
+            policy: split_policy(),
             ..ServeConfig::default()
         },
     );

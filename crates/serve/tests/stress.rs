@@ -8,6 +8,8 @@
 //!    single-threaded replay of that shard's *event stream* — answers in
 //!    arrival order interleaved with any recorded gossip folds at their
 //!    recorded positions (which is also the snapshot/restore guarantee).
+//!    The live services sweep EM on two threads and the replay on one, so
+//!    this also checks the side-split sweep against the sequential one.
 //!
 //! The gossip-enabled variants re-assert all three with the cross-shard
 //! worker-quality exchange racing ingestion: fold payloads are produced by
@@ -15,7 +17,8 @@
 //! and where, so the event replay is still exact.
 
 use crowd_core::{
-    synthetic_task, CoreError, Framework, LabelBits, TaskId, TaskSet, Worker, WorkerId, WorkerPool,
+    synthetic_task, CoreError, EmParallelism, Framework, FrameworkConfig, LabelBits, TaskId,
+    TaskSet, UpdatePolicy, Worker, WorkerId, WorkerPool,
 };
 use crowd_geo::Point;
 use crowd_serve::{GossipEventKind, LabellingService, ServeConfig, ServeError, ServiceSnapshot};
@@ -49,6 +52,24 @@ fn world() -> (TaskSet, WorkerPool) {
     )
     .unwrap();
     (tasks, workers)
+}
+
+/// The live services sweep with the two-thread side split whatever the
+/// runner's core count, and the replay oracle ([`sequential`]) with one
+/// thread, so every replay comparison checks the split sweep against the
+/// sequential one.
+fn split_policy() -> UpdatePolicy {
+    UpdatePolicy {
+        parallelism: EmParallelism::Fixed(2),
+        ..UpdatePolicy::default()
+    }
+}
+
+/// `config` pinned to the sequential sweep.
+fn sequential(config: &FrameworkConfig) -> FrameworkConfig {
+    let mut config = config.clone();
+    config.policy.parallelism = EmParallelism::Fixed(1);
+    config
 }
 
 /// Deterministic answer content per (worker, task): bits derived from a
@@ -117,7 +138,7 @@ fn assert_shard_equals_replay(service: &LabellingService, shard_id: usize) {
     let mut replay = Framework::with_distances(
         live.tasks().clone(),
         live.workers().clone(),
-        live.config().clone(),
+        sequential(live.config()),
         *live.distances(),
     );
     let mut next_event = 0usize;
@@ -176,6 +197,7 @@ fn concurrent_submits_lose_nothing_and_match_replay() {
             // Small queue so producers actually hit backpressure.
             queue_capacity: 32,
             budget: 0, // submits only; budget exercised in the next test
+            policy: split_policy(),
             ..ServeConfig::default()
         },
     );
@@ -222,6 +244,7 @@ fn per_shard_queues_isolate_traffic_and_match_replay() {
             n_shards: 2,
             queue_capacity: 8, // 4 slots per shard
             budget: 0,
+            policy: split_policy(),
             ..ServeConfig::default()
         },
     );
@@ -283,6 +306,7 @@ fn concurrent_requests_never_overcharge_budget() {
             queue_capacity: 64,
             budget,
             h: 2,
+            policy: split_policy(),
             ..ServeConfig::default()
         },
     );
@@ -347,6 +371,7 @@ fn snapshot_restore_resume_reproduces_decisions() {
         ingest_threads: 2,
         queue_capacity: 64,
         budget: 0,
+        policy: split_policy(),
         ..ServeConfig::default()
     };
     let service = LabellingService::start(&tasks, &workers, config);
@@ -417,6 +442,7 @@ fn gossip_racing_ingestion_loses_nothing_and_matches_event_replay() {
             queue_capacity: 32,
             budget: 0,
             gossip_every: Some(25),
+            policy: split_policy(),
             ..ServeConfig::default()
         },
     );
@@ -476,6 +502,7 @@ fn gossip_request_loops_never_overcharge_budget() {
             budget,
             h: 2,
             gossip_every: Some(10),
+            policy: split_policy(),
             ..ServeConfig::default()
         },
     );
@@ -539,6 +566,7 @@ fn gossip_snapshot_restore_resume_stays_in_lockstep() {
         queue_capacity: 64,
         budget: 0,
         gossip_every: Some(20),
+        policy: split_policy(),
         ..ServeConfig::default()
     };
     let service = LabellingService::start(&tasks, &workers, config);
@@ -629,6 +657,7 @@ fn snapshot_after_force_full_em_restores_bit_identically() {
             n_shards: 3,
             budget: 0,
             gossip_every: Some(20),
+            policy: split_policy(),
             ..ServeConfig::default()
         },
     );
@@ -697,6 +726,7 @@ fn mispositioned_gossip_event_is_rejected_on_restore() {
             n_shards: 2,
             budget: 0,
             gossip_every: Some(5),
+            policy: split_policy(),
             ..ServeConfig::default()
         },
     );

@@ -295,11 +295,12 @@ fn print_latency_table(hub: &ObsHub) {
         "    {:<14} {:>8} {:>10} {:>10} {:>10} {:>10}",
         "stage", "count", "p50", "p90", "p99", "max"
     );
+    let (em_full, em_dirty) = (hub.em_full.total(), hub.em_dirty.total());
     for (name, h) in [
         ("queue_wait", &hub.queue_wait),
         ("apply", &hub.apply),
-        ("em_full", &hub.em_full),
-        ("em_dirty", &hub.em_dirty),
+        ("em_full", &em_full),
+        ("em_dirty", &em_dirty),
         ("assign", &hub.assign),
         ("gossip_round", &hub.gossip_round),
     ] {
