@@ -35,8 +35,9 @@
 //!   (`full_sweep_every`, `dirty_coverage_fallback`) and prints one JSON
 //!   line per configuration for `BENCH_em.json`'s sweep table.
 //! * `EM_FLOOR=1` — additionally prints the sequential vs side-split
-//!   per-iteration cost on short logs, the rows behind `BENCH_em.json`'s
-//!   `parallel_full.floor` table and `EmParallelism::SMALL_LOG_FLOOR`.
+//!   per-iteration cost on short logs of three worlds, the rows behind
+//!   `BENCH_em.json`'s `parallel_full.floor` table and
+//!   `EmParallelism::effective`'s floor.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -429,13 +430,66 @@ fn bench_knob_sweep(_c: &mut Criterion) {
     }
 }
 
+/// A world of the small-log floor probe: its tasks and the answer stream
+/// whose prefixes it sweeps, over a log sized for `n_workers`.
+struct FloorWorld {
+    name: &'static str,
+    tasks: TaskSet,
+    n_workers: usize,
+    stream: Vec<Answer>,
+}
+
+/// The worlds the floor probe covers: the Deployment-1 stream (200 POIs,
+/// 10 labels each, 10 answers per POI) with the `ingest` benchmark's 200
+/// workers and with a campaign shard's 2000, and this bench's synthetic
+/// stream (4 labels, 1500 workers).
+fn floor_worlds() -> Vec<FloorWorld> {
+    let deployment1 = |name, n_workers| {
+        let dataset = crowd_sim::beijing(2016);
+        let population = crowd_sim::generate_population(
+            &crowd_sim::PopulationConfig::with_workers(n_workers, 2017),
+            &dataset,
+        );
+        let platform = crowd_sim::SimPlatform::new(
+            dataset,
+            population,
+            crowd_sim::BehaviorConfig::default(),
+            2018,
+        );
+        let stream = platform.deployment1_with_seed(10, 1).answers().to_vec();
+        FloorWorld {
+            name,
+            tasks: platform.dataset.tasks,
+            n_workers,
+            stream,
+        }
+    };
+    let (tasks, log) = world();
+    let mut synthetic = AnswerLog::new(tasks.len(), N_WORKERS);
+    for i in 0..4 * N_WORKERS {
+        // Repeated (worker, task) pairs are rejected; skip them.
+        let _ = synthetic.push(&tasks, answer_at(i));
+    }
+    vec![
+        deployment1("deployment1_w200", 200),
+        deployment1("deployment1_w2000", 2000),
+        FloorWorld {
+            name: "synthetic_w1500",
+            tasks,
+            n_workers: log.n_workers(),
+            stream: synthetic.answers().to_vec(),
+        },
+    ]
+}
+
 /// Small-log floor probe (`EM_FLOOR=1`): the per-iteration cost of the
-/// sequential and the side-split full sweep on short prefixes of the
-/// synthetic stream, the two interleaved rep by rep so host drift hits
-/// both alike, printed as one JSON line per log size — the rows behind
-/// `BENCH_em.json`'s `parallel_full.floor` table and
-/// `EmParallelism::SMALL_LOG_FLOOR` (the smallest size where the split
-/// stops losing).
+/// sequential and the side-split full sweep on prefixes of each
+/// [`floor_worlds`] stream, the two interleaved rep by rep so host drift
+/// hits both alike, printed as one JSON line per world and log size — the
+/// rows behind `BENCH_em.json`'s `parallel_full.floor` table and
+/// `EmParallelism::SMALL_LOG_FLOOR` and `WORKERS_PER_SPLIT_ANSWER`. Each
+/// line also says whether an online model would split that sweep
+/// (`split`).
 fn bench_floor(_c: &mut Criterion) {
     if std::env::var_os("EM_FLOOR").is_none() {
         return;
@@ -447,47 +501,51 @@ fn bench_floor(_c: &mut Criterion) {
         max_iterations: ITERATIONS,
         ..EmConfig::default()
     };
-    for size in [32, 64, 96, 128, 192, 256, 384, 512, 1000] {
-        let (tasks, mut log) = world();
-        let mut i = 0;
-        while log.len() < size {
-            // Repeated (worker, task) pairs are rejected; skip them.
-            let _ = log.push(&tasks, answer_at(i));
-            i += 1;
-        }
-        let geometry = AnswerGeometry::build(&tasks, &log, &config.fset);
-        let init = ModelParams::init(
-            &tasks,
-            log.n_workers(),
-            config.fset.len(),
-            config.init,
-            &log,
-        );
-        let mut ns = [Vec::new(), Vec::new()];
-        for _ in 0..REPS {
-            for (samples, threads) in ns.iter_mut().zip([1, 2]) {
-                let mut params = init.clone();
-                let start = Instant::now();
-                black_box(run_em_geometry_threads(
-                    &tasks,
-                    &log,
-                    &geometry,
-                    &config,
-                    &mut params,
-                    threads,
-                ));
-                #[allow(clippy::cast_precision_loss)]
-                samples.push(start.elapsed().as_secs_f64() * 1e9 / ITERATIONS as f64);
+    for world in floor_worlds() {
+        for size in [64, 128, 192, 256, 384, 512, 768, 1000, 1500, 2000] {
+            let mut log = AnswerLog::new(world.tasks.len(), world.n_workers);
+            for answer in &world.stream[..size] {
+                log.push(&world.tasks, *answer)
+                    .expect("a prefix of a valid stream");
             }
+            let geometry = AnswerGeometry::build(&world.tasks, &log, &config.fset);
+            let init = ModelParams::init(
+                &world.tasks,
+                log.n_workers(),
+                config.fset.len(),
+                config.init,
+                &log,
+            );
+            let mut ns = [Vec::new(), Vec::new()];
+            for _ in 0..REPS {
+                for (samples, threads) in ns.iter_mut().zip([1, 2]) {
+                    let mut params = init.clone();
+                    let start = Instant::now();
+                    black_box(run_em_geometry_threads(
+                        &world.tasks,
+                        &log,
+                        &geometry,
+                        &config,
+                        &mut params,
+                        threads,
+                    ));
+                    #[allow(clippy::cast_precision_loss)]
+                    samples.push(start.elapsed().as_secs_f64() * 1e9 / ITERATIONS as f64);
+                }
+            }
+            let [t1, t2] = ns.map(|mut v| {
+                v.sort_by(f64::total_cmp);
+                v[REPS / 2]
+            });
+            let bits = geometry.total_bits();
+            let split = EmParallelism::Fixed(2).effective(size, log.n_workers()) > 1;
+            eprintln!(
+                "floor {{\"world\":\"{}\",\"log_size\":{size},\"label_bits\":{bits},\"n_workers\":{},\"t1_ns_per_iter\":{t1:.0},\"t2_ns_per_iter\":{t2:.0},\"t1_over_t2\":{:.2},\"split\":{split}}}",
+                world.name,
+                log.n_workers(),
+                t1 / t2
+            );
         }
-        let [t1, t2] = ns.map(|mut v| {
-            v.sort_by(f64::total_cmp);
-            v[REPS / 2]
-        });
-        eprintln!(
-            "floor {{\"log_size\":{size},\"t1_ns_per_iter\":{t1:.0},\"t2_ns_per_iter\":{t2:.0},\"t1_over_t2\":{:.2}}}",
-            t1 / t2
-        );
     }
 }
 

@@ -39,7 +39,7 @@ use crate::model::posterior::{factored, Posterior, PosteriorInputs};
 use crate::model::sweep::{self, Llh, Params, Scratch, Step, TaskSide, WorkerSide};
 use crate::model::{InitStrategy, ModelParams};
 use crate::prob;
-use crate::{Answer, AnswerLog, DistanceFunctionSet, TaskId, TaskSet, WorkerId};
+use crate::{AnswerLog, DistanceFunctionSet, TaskId, TaskSet, WorkerId};
 
 /// How many threads the EM sweeps (and the ACCOPT candidate scorer) may
 /// use.
@@ -67,12 +67,20 @@ impl EmParallelism {
     /// its meeting with the caller every iteration cost more than its half
     /// of the sweep saves. Measured as the t1/t2 crossover of the
     /// side-split full sweep on a 2-vCPU host (the `em` bench's `EM_FLOOR=1`
-    /// rows, recorded in `BENCH_em.json` → `parallel_full.floor`).
-    /// [`run_em_geometry_threads`] honours its `threads` argument literally
-    /// (so equivalence tests can exercise the split on tiny logs); the
-    /// floor is applied by [`EmParallelism::effective`], which the
+    /// rows, recorded in `BENCH_em.json` → `parallel_full.floor`) on the
+    /// Deployment-1 world with 200 workers. [`run_em_geometry_threads`]
+    /// honours its `threads` argument literally (so equivalence tests can
+    /// exercise the split on tiny logs); the floor is applied by
+    /// [`EmParallelism::effective`], which the
     /// [`OnlineModel`](crate::OnlineModel) calls per rebuild.
-    pub const SMALL_LOG_FLOOR: usize = 192;
+    pub const SMALL_LOG_FLOOR: usize = 128;
+
+    /// A sweep also runs sequentially while it covers fewer than one
+    /// answer per this many workers the model tracks. The crossover moves
+    /// with the worker count: the same probe crosses at about 128 answers
+    /// with 200 workers and at about 192–256 with 1500–2000 workers, so
+    /// one answer per five workers splits no measured sweep below it.
+    pub const WORKERS_PER_SPLIT_ANSWER: usize = 5;
 
     /// Most threads an EM sweep uses: the task side on the calling thread
     /// and the worker side on one helper.
@@ -94,12 +102,15 @@ impl EmParallelism {
         self.resolve().min(Self::MAX_SWEEP_THREADS)
     }
 
-    /// The thread count actually worth using for a sweep over `n_answers`:
+    /// The thread count actually worth using for a sweep over `n_answers`
+    /// of a model tracking `n_workers` workers:
     /// [`EmParallelism::sweep_threads`], floored to 1 below
-    /// [`EmParallelism::SMALL_LOG_FLOOR`] answers.
+    /// [`EmParallelism::SMALL_LOG_FLOOR`] answers or below one answer per
+    /// [`EmParallelism::WORKERS_PER_SPLIT_ANSWER`] workers.
     #[must_use]
-    pub fn effective(self, n_answers: usize) -> usize {
-        if n_answers < Self::SMALL_LOG_FLOOR {
+    pub fn effective(self, n_answers: usize, n_workers: usize) -> usize {
+        let floor = Self::SMALL_LOG_FLOOR.max(n_workers / Self::WORKERS_PER_SPLIT_ANSWER);
+        if n_answers < floor {
             1
         } else {
             self.sweep_threads()
@@ -874,9 +885,11 @@ impl EmRun<'_> {
             stats.reset_from(self.baseline, self.n_workers);
             let mut log_likelihood = 0.0;
             let (task, worker) = stats.sides_mut();
-            self.sweep(
+            sweep::sweep(
                 &mut (TaskSide::fresh(task), WorkerSide::fresh(worker)),
                 Params::of(params),
+                self.geometry,
+                self.config.alpha,
                 self.log.answers().iter().enumerate(),
                 &mut scratch,
                 Llh::Sum(&mut log_likelihood),
@@ -898,7 +911,14 @@ impl EmRun<'_> {
     /// side on one helper for the whole run.
     fn side_split(&self, params: &mut ModelParams, report: &mut EmReport) {
         let answers = self.log.answers();
-        let (first, second) = (0..answers.len() / 2, answers.len() / 2..answers.len());
+        let mid = answers.len() / 2;
+        let halves = || {
+            [
+                sweep::at(answers, 0..mid),
+                sweep::at(answers, mid..answers.len()),
+            ]
+        };
+        let (geometry, alpha) = (self.geometry, self.config.alpha);
         let mut stats = self.new_stats();
         let (task_stats, worker_stats) = stats.sides_mut();
         let n_funcs = self.config.fset.len();
@@ -908,86 +928,33 @@ impl EmRun<'_> {
             self.config,
             report,
             |step| match step {
-                Step::Estep {
-                    params,
-                    first: llh_first,
-                    second: llh_second,
-                } => {
+                Step::Estep { params, llh } => {
                     task_stats.reset_from(self.baseline.map(|b| &b.task));
-                    let mut side = TaskSide::fresh(task_stats);
+                    let side = &mut TaskSide::fresh(task_stats);
                     let scratch = &mut task_scratch;
-                    self.sweep(
-                        &mut side,
-                        params,
-                        sweep::at(answers, first.clone()),
-                        scratch,
-                        llh_first,
-                    );
-                    self.sweep(
-                        &mut side,
-                        params,
-                        sweep::at(answers, second.clone()),
-                        scratch,
-                        llh_second,
-                    );
+                    sweep::sweep_halves(side, params, geometry, alpha, halves(), scratch, llh);
                     0.0
                 }
-                Step::Mstep { next, current } => {
-                    task_stats.apply_all(next, self.tasks);
-                    next.max_abs_diff(current)
+                Step::Mstep { params, previous } => {
+                    task_stats.apply_all(params, self.tasks);
+                    params.max_abs_diff(previous)
                 }
             },
             |step| match step {
-                Step::Estep {
-                    params,
-                    first: llh_first,
-                    second: llh_second,
-                } => {
+                Step::Estep { params, llh } => {
                     worker_stats.reset_from(self.baseline.map(|b| &b.worker), self.n_workers);
-                    let mut side = WorkerSide::fresh(worker_stats);
+                    let side = &mut WorkerSide::fresh(worker_stats);
                     let scratch = &mut worker_scratch;
-                    self.sweep(
-                        &mut side,
-                        params,
-                        sweep::at(answers, first.clone()),
-                        scratch,
-                        llh_first,
-                    );
-                    self.sweep(
-                        &mut side,
-                        params,
-                        sweep::at(answers, second.clone()),
-                        scratch,
-                        llh_second,
-                    );
+                    sweep::sweep_halves(side, params, geometry, alpha, halves(), scratch, llh);
                     0.0
                 }
-                Step::Mstep { next, current } => {
-                    worker_stats.apply_all_pooled(next, self.peers);
-                    next.max_abs_diff(current)
+                Step::Mstep { params, previous } => {
+                    worker_stats.apply_all_pooled(params, self.peers);
+                    params.max_abs_diff(previous)
                 }
             },
         );
         debug_assert!(params.check_invariants());
-    }
-
-    fn sweep<'a>(
-        &self,
-        side: &mut impl sweep::Side,
-        params: Params<'_>,
-        answers: impl IntoIterator<Item = (usize, &'a Answer)>,
-        scratch: &mut Scratch,
-        llh: Llh<'_>,
-    ) {
-        sweep::sweep(
-            side,
-            params,
-            self.geometry,
-            self.config.alpha,
-            answers,
-            scratch,
-            llh,
-        );
     }
 }
 

@@ -80,9 +80,9 @@ pub struct UpdatePolicy {
     /// worker accumulators on one helper — and every accumulator cell still
     /// receives its additions in answer order, so results are bit-identical
     /// for every setting and this is a pure throughput knob. A sweep uses
-    /// at most [`EmParallelism::MAX_SWEEP_THREADS`] threads, and sweeps over
-    /// fewer than [`EmParallelism::SMALL_LOG_FLOOR`] answers run
-    /// sequentially.
+    /// at most [`EmParallelism::MAX_SWEEP_THREADS`] threads, and sweeps too
+    /// small to gain from the split run sequentially (see
+    /// [`EmParallelism::effective`]).
     pub parallelism: EmParallelism,
 }
 
@@ -354,7 +354,7 @@ impl OnlineModel {
         }
         let report = report.unwrap_or_else(|| self.run_full_sweep(tasks, log));
         if let Some(t0) = started {
-            let threads = self.policy.parallelism.effective(report.answers_swept);
+            let threads = self.sweep_threads(report.answers_swept);
             self.recorder.em_rebuild(
                 t0.elapsed(),
                 report.full_sweep,
@@ -372,7 +372,7 @@ impl OnlineModel {
         self.sync_caches(tasks, log);
         let report = self.run_full_sweep(tasks, log);
         if let Some(t0) = started {
-            let threads = self.policy.parallelism.effective(report.answers_swept);
+            let threads = self.sweep_threads(report.answers_swept);
             self.recorder.em_rebuild(
                 t0.elapsed(),
                 report.full_sweep,
@@ -389,6 +389,14 @@ impl OnlineModel {
         self.recorder = recorder;
     }
 
+    /// The thread count of a sweep over `n_answers`. A rebuild grows the
+    /// parameters to the peers' workers, so this count is the same before
+    /// and after it.
+    fn sweep_threads(&self, n_answers: usize) -> usize {
+        let n_workers = self.params.n_workers().max(self.peers.n_workers());
+        self.policy.parallelism.effective(n_answers, n_workers)
+    }
+
     fn sync_caches(&mut self, tasks: &TaskSet, log: &AnswerLog) {
         self.params.ensure_workers(log.n_workers());
         self.stats.ensure_workers(log.n_workers());
@@ -403,7 +411,7 @@ impl OnlineModel {
     }
 
     fn run_full_sweep(&mut self, tasks: &TaskSet, log: &AnswerLog) -> EmReport {
-        let threads = self.policy.parallelism.effective(log.len());
+        let threads = self.sweep_threads(log.len());
         let report = run_em_geometry_pooled_threads_from(
             tasks,
             log,
@@ -423,6 +431,7 @@ impl OnlineModel {
     /// statistics (from the frozen baseline, if any) and every answer's
     /// contribution row.
     fn rebuild_stats(&mut self, log: &AnswerLog) {
+        let threads = self.sweep_threads(log.len());
         self.stats.reset_from(self.frozen.as_ref(), log.n_workers());
         self.contribs.reset(&self.geometry);
         let (task_stats, worker_stats) = self.stats.sides_mut();
@@ -434,11 +443,11 @@ impl OnlineModel {
             let answers = log.answers().iter().enumerate();
             sweep::sweep(side, params, geometry, alpha, answers, scratch, Llh::Skip);
         };
-        if self.policy.parallelism.effective(log.len()) > 1 {
+        if threads > 1 {
             let n_funcs = self.config.fset.len();
             let (mut task, mut worker) = (task, worker);
             sweep::split(
-                |_: &Meet<()>| pass(&mut task, &mut Scratch::new(n_funcs)),
+                |_: &Meet<(), ()>| pass(&mut task, &mut Scratch::new(n_funcs)),
                 |_| pass(&mut worker, &mut Scratch::new(n_funcs)),
             );
         } else {
@@ -480,7 +489,7 @@ impl OnlineModel {
         }
         report.converged = false;
 
-        if self.policy.parallelism.effective(dirty_answers.len()) > 1 {
+        if self.sweep_threads(dirty_answers.len()) > 1 {
             self.dirty_split(
                 tasks,
                 log,
@@ -541,7 +550,9 @@ impl OnlineModel {
         report: &mut EmReport,
     ) {
         let (first, second) = dirty_answers.split_at(dirty_answers.len() / 2);
-        let (answers, geometry, alpha) = (log.answers(), &self.geometry, self.config.alpha);
+        let answers = log.answers();
+        let halves = || [first, second].map(|ids| sweep::at(answers, ids.iter().copied()));
+        let (geometry, alpha) = (&self.geometry, self.config.alpha);
         let (task_stats, worker_stats) = self.stats.sides_mut();
         let (task_rows, worker_rows) = (&mut self.contribs.task, &mut self.contribs.worker);
         let peers = &self.peers;
@@ -553,70 +564,26 @@ impl OnlineModel {
             &self.config,
             report,
             |step| match step {
-                Step::Estep {
-                    params,
-                    first: llh_first,
-                    second: llh_second,
-                } => {
-                    let mut side = TaskSide::recording(task_stats, task_rows, true);
-                    let (first, second) = (first.iter().copied(), second.iter().copied());
+                Step::Estep { params, llh } => {
+                    let side = &mut TaskSide::recording(task_stats, task_rows, true);
                     let scratch = &mut task_scratch;
-                    sweep::sweep(
-                        &mut side,
-                        params,
-                        geometry,
-                        alpha,
-                        sweep::at(answers, first),
-                        scratch,
-                        llh_first,
-                    );
-                    sweep::sweep(
-                        &mut side,
-                        params,
-                        geometry,
-                        alpha,
-                        sweep::at(answers, second),
-                        scratch,
-                        llh_second,
-                    );
+                    sweep::sweep_halves(side, params, geometry, alpha, halves(), scratch, llh);
                     0.0
                 }
-                Step::Mstep { next, .. } => {
-                    touched_task_mstep(task_stats, next, tasks, touched_tasks, &mut task_old)
+                Step::Mstep { params, .. } => {
+                    touched_task_mstep(task_stats, params, tasks, touched_tasks, &mut task_old)
                 }
             },
             |step| match step {
-                Step::Estep {
-                    params,
-                    first: llh_first,
-                    second: llh_second,
-                } => {
-                    let mut side = WorkerSide::recording(worker_stats, worker_rows, true);
-                    let (first, second) = (first.iter().copied(), second.iter().copied());
+                Step::Estep { params, llh } => {
+                    let side = &mut WorkerSide::recording(worker_stats, worker_rows, true);
                     let scratch = &mut worker_scratch;
-                    sweep::sweep(
-                        &mut side,
-                        params,
-                        geometry,
-                        alpha,
-                        sweep::at(answers, first),
-                        scratch,
-                        llh_first,
-                    );
-                    sweep::sweep(
-                        &mut side,
-                        params,
-                        geometry,
-                        alpha,
-                        sweep::at(answers, second),
-                        scratch,
-                        llh_second,
-                    );
+                    sweep::sweep_halves(side, params, geometry, alpha, halves(), scratch, llh);
                     0.0
                 }
-                Step::Mstep { next, .. } => touched_worker_mstep(
+                Step::Mstep { params, .. } => touched_worker_mstep(
                     worker_stats,
-                    next,
+                    params,
                     peers,
                     touched_workers,
                     &mut worker_old,

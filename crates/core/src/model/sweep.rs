@@ -24,16 +24,16 @@
 //! the two halves changes nothing.
 //!
 //! The threads meet ([`Meet`]) once per iteration ([`lockstep`]): each
-//! side writes its M-step into a second buffer of its parameter half, so
-//! neither overwrites parameters the other is still reading, and at the
-//! meeting the sides trade their parameter changes. The log-likelihood
+//! side updates its own parameter half in place and, at the meeting, hands
+//! the other a copy of it together with its parameter change, so neither
+//! reads parameters the other is writing. The log-likelihood
 //! keeps its summation order too: the calling thread adds the terms of
 //! the first half of the answers as it sweeps, the helper stores the terms
 //! of the second half and hands them over at the meeting, and the calling
 //! thread adds them after its own.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::Arc;
 
 use crate::model::em::{EmConfig, EmReport, TaskStats, WorkerStats};
 use crate::model::geometry::AnswerGeometry;
@@ -161,33 +161,53 @@ pub(crate) fn at<'a>(
     ids.into_iter().map(move |i| (i, &answers[i]))
 }
 
-/// One call into a side of [`lockstep`].
-pub(crate) enum Step<'a, P> {
-    /// The side's E-step under `params`. The log-likelihood terms of the
-    /// first half of the swept answers go to `first`, those of the second
-    /// half to `second`.
-    Estep {
-        params: Params<'a>,
-        first: Llh<'a>,
-        second: Llh<'a>,
-    },
-    /// The side's half of the M-step: `next` starts as a copy of `current`
-    /// and receives the new parameters. Returns the largest change.
-    Mstep { next: &'a mut P, current: &'a P },
+/// Sweeps the answers of `halves[0]` then those of `halves[1]` — one
+/// continuous pass in that order — sending the log-likelihood terms of
+/// each half to the matching entry of `llh`.
+pub(crate) fn sweep_halves<'a, I: IntoIterator<Item = (usize, &'a Answer)>>(
+    side: &mut (impl Side + ?Sized),
+    params: Params<'_>,
+    geometry: &AnswerGeometry,
+    alpha: f64,
+    halves: [I; 2],
+    scratch: &mut Scratch,
+    llh: [Llh<'_>; 2],
+) {
+    for (answers, llh) in halves.into_iter().zip(llh) {
+        sweep(side, params, geometry, alpha, answers, scratch, llh);
+    }
 }
 
+/// One call into a side of [`lockstep`].
+pub(crate) enum Step<'a, P> {
+    /// The side's E-step under `params`, passing `llh` on to
+    /// [`sweep_halves`]. The return value is ignored.
+    Estep {
+        params: Params<'a>,
+        llh: [Llh<'a>; 2],
+    },
+    /// The side's half of the M-step, in place on `params`, whose values
+    /// before it are `previous`. Returns the largest change.
+    Mstep { params: &'a mut P, previous: &'a P },
+}
+
+/// What one side hands the other when they meet: its largest parameter
+/// change, a copy of its new parameter half and a buffer of log-likelihood
+/// terms (the worker side's terms; the task side returns the buffer for
+/// reuse).
+type Trade<P> = (f64, Arc<P>, Vec<f64>);
+
 /// Runs the EM iterations of one rebuild as a side split: `task` on the
-/// calling thread, `worker` on one helper spawned for the whole run. The
-/// return value of an E-step call is ignored.
+/// calling thread, `worker` on one helper spawned for the whole run.
 ///
-/// Each parameter half is double-buffered: in iteration `i` both sides
-/// read the current buffers, and each side writes its M-step into its own
-/// next buffer, which nobody reads until both sides have finished the
-/// iteration. So the sides meet once per iteration, after their M-steps,
-/// and trade their parameter changes (stopping together once the larger
-/// one reaches the tolerance) and the worker side's log-likelihood terms,
-/// which the caller adds after its own. The report receives the delta and
-/// log-likelihood series a sequential run records.
+/// Each side owns its parameter half and updates it in place. After its
+/// M-step it sends a copy of the new half to the other side, which reads
+/// it during the next E-step; the sender keeps the same copy as the old
+/// values of its next M-step. So the sides meet once per iteration, after
+/// their M-steps, and also trade their parameter changes (stopping together
+/// once the larger one reaches the tolerance) and the worker side's
+/// log-likelihood terms, which the caller adds after its own. The report
+/// receives the delta and log-likelihood series a sequential run records.
 pub(crate) fn lockstep(
     params: &mut ModelParams,
     config: &EmConfig,
@@ -196,92 +216,60 @@ pub(crate) fn lockstep(
     mut worker: impl FnMut(Step<'_, WorkerParams>) -> f64 + Send,
 ) {
     let (task_params, worker_params) = params.halves_mut();
-    let task_bufs = [
-        RwLock::new(task_params.clone()),
-        RwLock::new(task_params.clone()),
-    ];
-    let worker_bufs = [
-        RwLock::new(worker_params.clone()),
-        RwLock::new(worker_params.clone()),
-    ];
-    let (task_last, worker_last) = split(
-        |meet: &Meet<(f64, Vec<f64>)>| {
-            let (mut current, mut spare) = (0, Vec::new());
+    let task_sent = Arc::new(task_params.clone());
+    let worker_sent = Arc::new(worker_params.clone());
+    let task_view = Arc::clone(&task_sent);
+    let worker_view = Arc::clone(&worker_sent);
+    split(
+        |meet: &Meet<Trade<TaskParams>, Trade<WorkerParams>>| {
+            let (mut sent, mut view, mut spare) = (task_sent, worker_view, Vec::new());
             for _ in 0..config.max_iterations {
                 let mut log_likelihood = 0.0;
-                let own = {
-                    let t = read(&task_bufs[current]);
-                    task(Step::Estep {
-                        params: Params::new(&t, &read(&worker_bufs[current])),
-                        first: Llh::Sum(&mut log_likelihood),
-                        second: Llh::Skip,
-                    });
-                    let mut next = write(&task_bufs[1 - current]);
-                    next.clone_from(&t);
-                    task(Step::Mstep {
-                        next: &mut next,
-                        current: &t,
-                    })
-                };
-                let (other, helper_lns) = meet.trade((own, spare));
-                log_likelihood = helper_lns.iter().fold(log_likelihood, |sum, &ln| sum + ln);
-                spare = helper_lns;
-                current = 1 - current;
+                task(Step::Estep {
+                    params: Params::new(task_params, &view),
+                    llh: [Llh::Sum(&mut log_likelihood), Llh::Skip],
+                });
+                let own = task(Step::Mstep {
+                    params: task_params,
+                    previous: &sent,
+                });
+                sent = Arc::new(task_params.clone());
+                let (other, half, lns) = meet.trade((own, Arc::clone(&sent), spare));
+                view = half;
+                log_likelihood = lns.iter().fold(log_likelihood, |sum, &ln| sum + ln);
+                spare = lns;
                 if report.record(own.max(other), log_likelihood, config.tolerance) {
                     break;
                 }
             }
-            current
         },
         |meet| {
-            let (mut current, mut lns) = (0, Vec::new());
+            let (mut sent, mut view, mut lns) = (worker_sent, task_view, Vec::new());
             for _ in 0..config.max_iterations {
                 lns.clear();
-                let own = {
-                    let w = read(&worker_bufs[current]);
-                    worker(Step::Estep {
-                        params: Params::new(&read(&task_bufs[current]), &w),
-                        first: Llh::Skip,
-                        second: Llh::Store(&mut lns),
-                    });
-                    let mut next = write(&worker_bufs[1 - current]);
-                    next.clone_from(&w);
-                    worker(Step::Mstep {
-                        next: &mut next,
-                        current: &w,
-                    })
-                };
-                let (other, spare) = meet.trade((own, std::mem::take(&mut lns)));
+                worker(Step::Estep {
+                    params: Params::new(&view, worker_params),
+                    llh: [Llh::Skip, Llh::Store(&mut lns)],
+                });
+                let own = worker(Step::Mstep {
+                    params: worker_params,
+                    previous: &sent,
+                });
+                sent = Arc::new(worker_params.clone());
+                let (other, half, spare) = meet.trade((own, Arc::clone(&sent), lns));
+                view = half;
                 lns = spare;
-                current = 1 - current;
                 if other.max(own) <= config.tolerance {
                     break;
                 }
             }
-            current
         },
     );
-    let [t0, t1] = task_bufs;
-    *task_params = if task_last == 0 { t0 } else { t1 }
-        .into_inner()
-        .expect(PEER_PANICKED);
-    let [w0, w1] = worker_bufs;
-    *worker_params = if worker_last == 0 { w0 } else { w1 }
-        .into_inner()
-        .expect(PEER_PANICKED);
 }
 
-/// Why a lock or channel of the side split fails: only a panic on the
-/// other side poisons a buffer or drops a channel end.
+/// Why a channel of the side split fails: only a panic on the other side
+/// drops its end.
 const PEER_PANICKED: &str = "the other side of the EM sweep panicked";
-
-fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().expect(PEER_PANICKED)
-}
-
-fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().expect(PEER_PANICKED)
-}
 
 /// The task side of a sweep.
 pub(crate) struct TaskSide<'a> {
@@ -520,17 +508,18 @@ impl StatContribs {
     }
 }
 
-/// One end of the side split's rendezvous: a channel each way.
-pub(crate) struct Meet<T> {
-    tx: Sender<T>,
-    rx: Receiver<T>,
+/// One end of the side split's rendezvous: a channel each way, sending
+/// `S` and receiving `R`.
+pub(crate) struct Meet<S, R> {
+    tx: Sender<S>,
+    rx: Receiver<R>,
 }
 
-impl<T> Meet<T> {
+impl<S, R> Meet<S, R> {
     /// Waits for the other side and trades `mine` for its value. A side
     /// that panics drops its end, so the other side panics here instead of
     /// waiting forever.
-    pub(crate) fn trade(&self, mine: T) -> T {
+    pub(crate) fn trade(&self, mine: S) -> R {
         self.tx.send(mine).expect(PEER_PANICKED);
         self.rx.recv().expect(PEER_PANICKED)
     }
@@ -539,9 +528,9 @@ impl<T> Meet<T> {
 /// Runs `task` on the calling thread and `worker` on one scoped helper
 /// thread, each holding its end of a [`Meet`], and returns both results.
 /// The two closures must meet the same number of times.
-pub(crate) fn split<M: Send, T, W: Send>(
-    task: impl FnOnce(&Meet<M>) -> T,
-    worker: impl FnOnce(&Meet<M>) -> W + Send,
+pub(crate) fn split<A: Send, B: Send, T, W: Send>(
+    task: impl FnOnce(&Meet<A, B>) -> T,
+    worker: impl FnOnce(&Meet<B, A>) -> W + Send,
 ) -> (T, W) {
     std::thread::scope(|s| {
         let (to_worker, from_task) = channel();

@@ -376,19 +376,26 @@ fn parallel_em_handles_degenerate_logs() {
 #[test]
 fn effective_parallelism_floors_small_logs_and_caps_at_answers() {
     let floor = EmParallelism::SMALL_LOG_FLOOR;
+    let few = 10; // workers: the answer floor decides
     assert_eq!(
-        EmParallelism::Fixed(8).effective(floor - 1),
+        EmParallelism::Fixed(8).effective(floor - 1, few),
         1,
         "below the floor"
     );
-    assert_eq!(EmParallelism::Fixed(8).effective(0), 1);
+    assert_eq!(EmParallelism::Fixed(8).effective(0, few), 1);
     assert_eq!(
-        EmParallelism::Fixed(8).effective(floor),
+        EmParallelism::Fixed(8).effective(floor, few),
         2,
         "a sweep has two sides"
     );
-    assert_eq!(EmParallelism::Fixed(200).effective(100 * floor), 2);
-    assert_eq!(EmParallelism::Fixed(1).effective(100 * floor), 1);
+    assert_eq!(EmParallelism::Fixed(200).effective(100 * floor, few), 2);
+    assert_eq!(EmParallelism::Fixed(1).effective(100 * floor, few), 1);
+    // Many workers raise the floor to one answer per
+    // `WORKERS_PER_SPLIT_ANSWER` workers.
+    let many = 4 * floor * EmParallelism::WORKERS_PER_SPLIT_ANSWER;
+    assert_eq!(EmParallelism::Fixed(2).effective(floor, many), 1);
+    assert_eq!(EmParallelism::Fixed(2).effective(4 * floor - 1, many), 1);
+    assert_eq!(EmParallelism::Fixed(2).effective(4 * floor, many), 2);
     assert_eq!(
         EmParallelism::Fixed(8).resolve(),
         8,
@@ -396,7 +403,7 @@ fn effective_parallelism_floors_small_logs_and_caps_at_answers() {
     );
     assert_eq!(EmParallelism::Fixed(0).resolve(), 1, "zero means one");
     assert!(EmParallelism::Auto.resolve() >= 1);
-    assert!(EmParallelism::Auto.effective(floor) <= 2);
+    assert!(EmParallelism::Auto.effective(floor, few) <= 2);
 }
 
 proptest! {
@@ -435,18 +442,26 @@ proptest! {
     fn online_model_is_bit_identical_across_parallelism(
         every in 10usize..30,
         full_sweep_every in 1usize..4,
-        seed_answers in prop::collection::vec(
-            (0u32..40, 0u32..60, 0u16..u16::MAX, 0.0f64..1.0),
+        draws in prop::collection::vec(
+            (0u32..u32::MAX, 0u16..u16::MAX, 0.0f64..1.0),
             EmParallelism::SMALL_LOG_FLOOR + 40..EmParallelism::SMALL_LOG_FLOOR + 80,
         ),
     ) {
-        let (tasks, _, full_log, stream) = build_world(30, 24, 3, &seed_answers);
-        // Dedup in `build_world` can shrink the stream; only streams long
-        // enough to clear the small-log floor exercise the side split, so
-        // skip the rare degenerate draw.
-        if stream.len() < EmParallelism::SMALL_LOG_FLOOR + 20 {
-            return Ok(());
-        }
+        // A partial Fisher–Yates shuffle of the 40 × 60 (worker, task)
+        // pairs: distinct pairs in random order, so `build_world` drops
+        // none and every stream clears the floor.
+        let mut pairs: Vec<u32> = (0..40 * 60).collect();
+        let seed_answers: Vec<_> = draws
+            .iter()
+            .enumerate()
+            .map(|(i, &(pick, bits, distance))| {
+                let j = i + pick as usize % (pairs.len() - i);
+                pairs.swap(i, j);
+                (pairs[i] % 40, pairs[i] / 40, bits, distance)
+            })
+            .collect();
+        let (tasks, _, full_log, stream) = build_world(60, 40, 3, &seed_answers);
+        prop_assert_eq!(stream.len(), draws.len());
         let config = EmConfig { max_iterations: 6, ..EmConfig::default() };
         let policy = |parallelism| UpdatePolicy {
             full_em_every: Some(every),
@@ -461,6 +476,8 @@ proptest! {
         let mut parallel = [2, 3].map(|threads| OnlineModel::new(
             &tasks, &empty, config.clone(), policy(EmParallelism::Fixed(threads)),
         ));
+        let threads = Arc::new(ThreadLog::default());
+        parallel[0].set_recorder(RecorderHandle::new(Arc::clone(&threads) as Arc<dyn Recorder>));
         let mut replay = AnswerLog::new(tasks.len(), full_log.n_workers());
         for answer in &stream {
             replay.push(&tasks, *answer).expect("replaying a valid stream");
@@ -480,6 +497,8 @@ proptest! {
             model.full_sweep(&tasks, &replay);
             assert_same_params(sequential.params(), model.params());
         }
+        let last = threads.0.lock().unwrap().last().copied();
+        prop_assert_eq!(last, Some(2), "the side split did not run");
     }
 
     /// The cached-fvals accuracy estimator equals the re-evaluating one

@@ -57,8 +57,9 @@ fn world() -> (TaskSet, WorkerPool) {
 
 /// The live services sweep with the two-thread side split whatever the
 /// runner's core count, and the replay oracle ([`sequential`]) with one
-/// thread, so every replay comparison checks the split sweep against the
-/// sequential one.
+/// thread, so a replay comparison checks the split sweep against the
+/// sequential one whenever a shard's rebuild clears the small-log floor
+/// (`EmParallelism::effective`).
 fn split_policy() -> UpdatePolicy {
     UpdatePolicy {
         parallelism: EmParallelism::Fixed(2),
