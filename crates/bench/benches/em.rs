@@ -6,14 +6,14 @@
 //!   (per-iteration `FvalTable`, per-bit `factored`); what every rebuild
 //!   cost before the overhaul.
 //! * `cached_full`   — the same full EM on the answer-geometry cache with
-//!   prepared per-answer terms (`run_em_geometry`); bit-identical results.
+//!   prepared per-answer terms (`EmRun`); bit-identical results.
 //! * `dirty_set`     — `OnlineModel::full_em` after 100 fresh submits on a
 //!   converged model: re-sweeps only answers touching dirty tasks/workers.
 //! * `incremental`   — absorbing the same 100 answers with no rebuild at
 //!   all (the per-submit steady-state cost, for scale).
 //!
 //! * `parallel_full_tN` — the same full EM at `N` E-step threads
-//!   (`run_em_geometry_threads`): `t1` is the sequential sweep, every
+//!   (`EmRun::threads`): `t1` is the sequential sweep, every
 //!   `N ≥ 2` the two-thread side split (task side on the caller, worker
 //!   side on one helper), so `t4`/`t8` repeat `t2`; bit-identical
 //!   results, pure throughput.
@@ -43,12 +43,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use crowd_core::model::{
-    run_em_from_naive, run_em_geometry, run_em_geometry_threads, AnswerGeometry,
-};
+use crowd_core::model::{run_em_from_naive, AnswerGeometry, EmRun};
 use crowd_core::{
     synthetic_task, Answer, AnswerLog, EmConfig, EmParallelism, LabelBits, ModelParams,
-    OnlineModel, TaskId, TaskSet, UpdatePolicy, WorkerId,
+    OnlineModel, PeerStats, TaskId, TaskSet, UpdatePolicy, WorkerId,
 };
 use crowd_geo::Point;
 
@@ -122,6 +120,21 @@ struct Prepared {
     fresh: Vec<Answer>,
 }
 
+impl Prepared {
+    /// The cached full EM over this log at `threads` E-step threads.
+    fn em_run(&self, threads: usize) -> EmRun<'_> {
+        EmRun {
+            tasks: &self.tasks,
+            log: &self.log,
+            geometry: &self.geometry,
+            config: &self.config,
+            peers: PeerStats::empty_ref(),
+            threads,
+            baseline: None,
+        }
+    }
+}
+
 fn prepare(size: usize) -> Prepared {
     // A policy that never full-sweeps on its own: rebuild cadence is driven
     // manually, so each timed rebuild exercises exactly one path.
@@ -190,13 +203,7 @@ fn bench_em(c: &mut Criterion) {
             b.iter_batched(
                 || p.model.params().clone(),
                 |mut params| {
-                    black_box(run_em_geometry(
-                        &p.tasks,
-                        &p.log,
-                        &p.geometry,
-                        &p.config,
-                        &mut params,
-                    ));
+                    black_box(p.em_run(1).run(&mut params));
                     params
                 },
                 BatchSize::PerIteration,
@@ -210,14 +217,7 @@ fn bench_em(c: &mut Criterion) {
                     b.iter_batched(
                         || p.model.params().clone(),
                         |mut params| {
-                            black_box(run_em_geometry_threads(
-                                &p.tasks,
-                                &p.log,
-                                &p.geometry,
-                                &p.config,
-                                &mut params,
-                                threads,
-                            ));
+                            black_box(p.em_run(threads).run(&mut params));
                             params
                         },
                         BatchSize::PerIteration,
@@ -257,14 +257,7 @@ fn bench_em(c: &mut Criterion) {
 fn time_parallel_rebuild(p: &Prepared, threads: usize) -> std::time::Duration {
     let mut params = p.model.params().clone();
     let start = Instant::now();
-    black_box(run_em_geometry_threads(
-        &p.tasks,
-        &p.log,
-        &p.geometry,
-        &p.config,
-        black_box(&mut params),
-        threads,
-    ));
+    black_box(p.em_run(threads).run(black_box(&mut params)));
     start.elapsed()
 }
 
@@ -521,14 +514,16 @@ fn bench_floor(_c: &mut Criterion) {
                 for (samples, threads) in ns.iter_mut().zip([1, 2]) {
                     let mut params = init.clone();
                     let start = Instant::now();
-                    black_box(run_em_geometry_threads(
-                        &world.tasks,
-                        &log,
-                        &geometry,
-                        &config,
-                        &mut params,
+                    let run = EmRun {
+                        tasks: &world.tasks,
+                        log: &log,
+                        geometry: &geometry,
+                        config: &config,
+                        peers: PeerStats::empty_ref(),
                         threads,
-                    ));
+                        baseline: None,
+                    };
+                    black_box(run.run(&mut params));
                     #[allow(clippy::cast_precision_loss)]
                     samples.push(start.elapsed().as_secs_f64() * 1e9 / ITERATIONS as f64);
                 }

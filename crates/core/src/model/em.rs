@@ -3,7 +3,7 @@
 //!
 //! Two implementations of the same algorithm live here:
 //!
-//! * [`run_em`] / [`run_em_from`] / [`run_em_geometry`] — the production
+//! * [`run_em`] (cold start) / [`EmRun::run`] (warm start) — the production
 //!   path: per-answer terms come from an [`AnswerGeometry`] cache built once
 //!   at submit time, and the per-bit posterior uses the prepared factorised
 //!   form (the arithmetic of
@@ -17,8 +17,8 @@
 //!
 //! # Side-split E-step
 //!
-//! [`run_em_geometry_threads`] / [`run_em_geometry_pooled_threads`] with two
-//! threads split each iteration by *side*, not by answers: the calling
+//! An [`EmRun`] with two or more `threads` splits each iteration by
+//! *side*, not by answers: the calling
 //! thread accumulates the task side of the statistics (`Σ P(z)`, `|W(t)|`,
 //! `Σ P(d_t)`) and one scoped helper, spawned once for the whole run, the
 //! worker side (`Σ P(i)`, bit counts, `Σ P(d_w)`). Both sweep every answer
@@ -68,9 +68,9 @@ impl EmParallelism {
     /// of the sweep saves. Measured as the t1/t2 crossover of the
     /// side-split full sweep on a 2-vCPU host (the `em` bench's `EM_FLOOR=1`
     /// rows, recorded in `BENCH_em.json` → `parallel_full.floor`) on the
-    /// Deployment-1 world with 200 workers. [`run_em_geometry_threads`]
-    /// honours its `threads` argument literally (so equivalence tests can
-    /// exercise the split on tiny logs); the floor is applied by
+    /// Deployment-1 world with 200 workers. [`EmRun::run`] honours its
+    /// `threads` field literally (so equivalence tests can exercise the
+    /// split on tiny logs); the floor is applied by
     /// [`EmParallelism::effective`], which the
     /// [`OnlineModel`](crate::OnlineModel) calls per rebuild.
     pub const SMALL_LOG_FLOOR: usize = 128;
@@ -681,7 +681,7 @@ fn empty_report(log: &AnswerLog) -> EmReport {
 }
 
 /// Runs batch EM to convergence (or `max_iterations`) on the fast
-/// (geometry-cached) path.
+/// (geometry-cached) path, cold-started from `config.init`.
 ///
 /// Returns the estimated parameters and per-iteration diagnostics. With an
 /// empty answer log the parameters stay at their initialisation and the
@@ -690,199 +690,104 @@ fn empty_report(log: &AnswerLog) -> EmReport {
 pub fn run_em(tasks: &TaskSet, log: &AnswerLog, config: &EmConfig) -> (ModelParams, EmReport) {
     let n_workers = log.n_workers();
     let mut params = ModelParams::init(tasks, n_workers, config.fset.len(), config.init, log);
-    let report = run_em_from(tasks, log, config, &mut params);
+    let geometry = AnswerGeometry::build(tasks, log, &config.fset);
+    let report = EmRun {
+        tasks,
+        log,
+        geometry: &geometry,
+        config,
+        peers: PeerStats::empty_ref(),
+        threads: 1,
+        baseline: None,
+    }
+    .run(&mut params);
     (params, report)
 }
 
-/// Runs batch EM starting from (and updating) existing parameters, building
-/// the answer-geometry cache on the fly.
+/// The inputs of one full-sweep batch EM run, warm-started from whatever
+/// parameters [`EmRun::run`] is handed — the delayed rebuild of the
+/// incremental estimator (Section III-D) and the cold start of [`run_em`].
 ///
-/// Used by the delayed full-EM policy of the incremental estimator, which
-/// warm-starts from the online parameters. Callers that already maintain an
-/// [`AnswerGeometry`] should use [`run_em_geometry`] and skip the rebuild.
-pub fn run_em_from(
-    tasks: &TaskSet,
-    log: &AnswerLog,
-    config: &EmConfig,
-    params: &mut ModelParams,
-) -> EmReport {
-    if log.is_empty() {
-        let mut report = empty_report(log);
-        report.converged = true;
-        return report;
-    }
-    let geometry = AnswerGeometry::build(tasks, log, &config.fset);
-    run_em_geometry(tasks, log, &geometry, config, params)
-}
-
-/// Runs batch EM from existing parameters using a prebuilt answer-geometry
-/// cache — the hot path shared with [`OnlineModel`](crate::OnlineModel).
-///
-/// Produces bit-identical results to [`run_em_from_naive`]: the per-answer
-/// terms are the same arithmetic, hoisted out of the per-bit loop.
-///
-/// # Panics
-/// Panics if `geometry` does not cover exactly the answers of `log`.
-pub fn run_em_geometry(
-    tasks: &TaskSet,
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &mut ModelParams,
-) -> EmReport {
-    run_em_geometry_pooled(tasks, log, geometry, config, params, PeerStats::empty_ref())
-}
-
-/// [`run_em_geometry`] with the worker M-step pooled against `peers` —
-/// the rebuild path of a gossiping instance. With an empty peer table the
-/// two are bit-identical.
-///
-/// # Panics
-/// Panics if `geometry` does not cover exactly the answers of `log`.
-pub fn run_em_geometry_pooled(
-    tasks: &TaskSet,
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &mut ModelParams,
-    peers: &PeerStats,
-) -> EmReport {
-    run_em_geometry_pooled_threads(tasks, log, geometry, config, params, peers, 1)
-}
-
-/// [`run_em_geometry`] with the E-step split across `threads`: `1` runs the
-/// sequential sweep, anything more the two-thread side split (see the
-/// module docs). Bit-identical to the sequential path for every thread
-/// count.
-///
-/// The thread count is honoured literally (no small-log floor) so that
-/// equivalence tests can drive the side split over tiny and degenerate
-/// logs; production callers go through [`EmParallelism::effective`].
-///
-/// # Panics
-/// Panics if `geometry` does not cover exactly the answers of `log`.
-pub fn run_em_geometry_threads(
-    tasks: &TaskSet,
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &mut ModelParams,
-    threads: usize,
-) -> EmReport {
-    run_em_geometry_pooled_threads(
-        tasks,
-        log,
-        geometry,
-        config,
-        params,
-        PeerStats::empty_ref(),
-        threads,
-    )
-}
-
-/// [`run_em_geometry_pooled`] with the E-step split across `threads` — the
-/// most general EM entry point. See [`run_em_geometry_threads`] for the
-/// parallel semantics.
-///
-/// # Panics
-/// Panics if `geometry` does not cover exactly the answers of `log`.
-pub fn run_em_geometry_pooled_threads(
-    tasks: &TaskSet,
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &mut ModelParams,
-    peers: &PeerStats,
-    threads: usize,
-) -> EmReport {
-    run_em_geometry_pooled_threads_from(tasks, log, geometry, config, params, peers, threads, None)
-}
-
-/// [`run_em_geometry_pooled_threads`] seeded from a frozen baseline: each
-/// E-step starts from a *clone* of `baseline` instead of zeroed
-/// accumulators, so answers whose payloads were pruned from `log` still
-/// contribute their checkpointed posteriors to every M-step. With
-/// `baseline = None` this is exactly the unseeded sweep.
-///
-/// This is the full-sweep path of a pruned shard: the baseline is the
-/// sufficient statistics captured at the pruning checkpoint (whose
-/// posteriors were computed under the checkpoint parameters), and only the
-/// retained suffix is re-swept under current parameters — the same
-/// approximation class as a dirty-set run.
-///
-/// # Panics
-/// Panics if `geometry` does not cover exactly the answers of `log`, or if
-/// a provided `baseline` was accumulated for a different function count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_em_geometry_pooled_threads_from(
-    tasks: &TaskSet,
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &mut ModelParams,
-    peers: &PeerStats,
-    threads: usize,
-    baseline: Option<&SufficientStats>,
-) -> EmReport {
-    assert_eq!(
-        geometry.len(),
-        log.len(),
-        "geometry cache out of sync with the answer log"
-    );
-    if let Some(b) = baseline {
-        assert_eq!(
-            b.n_funcs,
-            config.fset.len(),
-            "frozen baseline shaped for a different function set"
-        );
-    }
-    let mut report = empty_report(log);
-    if log.is_empty() {
-        report.converged = true;
-        return report;
-    }
-    let n_workers = log.n_workers().max(peers.n_workers());
-    params.ensure_workers(n_workers);
-    let run = EmRun {
-        tasks,
-        log,
-        geometry,
-        config,
-        peers,
-        baseline,
-        n_workers,
-    };
-    if threads > 1 {
-        run.side_split(params, &mut report);
-    } else {
-        run.sequential(params, &mut report);
-    }
-    report
-}
-
-/// The inputs of one full-sweep EM run.
-struct EmRun<'a> {
-    tasks: &'a TaskSet,
-    log: &'a AnswerLog,
-    geometry: &'a AnswerGeometry,
-    config: &'a EmConfig,
-    peers: &'a PeerStats,
-    baseline: Option<&'a SufficientStats>,
-    n_workers: usize,
+/// Bit-identical to [`run_em_from_naive`] when `peers` is empty, `baseline`
+/// is `None` and the parameters match: the per-answer terms are the same
+/// arithmetic, hoisted out of the per-bit loop. Bit-identical across every
+/// `threads` value.
+#[derive(Debug)]
+pub struct EmRun<'a> {
+    /// The task set the log answers.
+    pub tasks: &'a TaskSet,
+    /// The answers to sweep.
+    pub log: &'a AnswerLog,
+    /// The answer-geometry cache; must cover exactly the answers of `log`.
+    pub geometry: &'a AnswerGeometry,
+    /// The estimator configuration.
+    pub config: &'a EmConfig,
+    /// Gossiped peer statistics the worker M-step pools against — the
+    /// rebuild path of a gossiping instance. [`PeerStats::empty_ref`]
+    /// pools nothing.
+    pub peers: &'a PeerStats,
+    /// E-step threads: `1` runs the sequential sweep, anything more the
+    /// two-thread side split (see the module docs). Honoured literally (no
+    /// small-log floor) so equivalence tests can drive the split over tiny
+    /// and degenerate logs; production callers go through
+    /// [`EmParallelism::effective`].
+    pub threads: usize,
+    /// A frozen baseline each E-step starts from instead of zeroed
+    /// accumulators, so answers whose payloads were pruned from `log` still
+    /// contribute their checkpointed posteriors to every M-step — the
+    /// full-sweep path of a pruned shard. Only the retained suffix is
+    /// re-swept under current parameters: the same approximation class as
+    /// a dirty-set run.
+    pub baseline: Option<&'a SufficientStats>,
 }
 
 impl EmRun<'_> {
-    fn new_stats(&self) -> SufficientStats {
-        SufficientStats::new(self.tasks, self.n_workers, self.config.fset.len())
+    /// Runs EM to convergence (or `max_iterations`) starting from, and
+    /// updating, `params`.
+    ///
+    /// # Panics
+    /// Panics if `geometry` does not cover exactly the answers of `log`, or
+    /// if a provided `baseline` was accumulated for a different function
+    /// count.
+    pub fn run(&self, params: &mut ModelParams) -> EmReport {
+        assert_eq!(
+            self.geometry.len(),
+            self.log.len(),
+            "geometry cache out of sync with the answer log"
+        );
+        if let Some(b) = self.baseline {
+            assert_eq!(
+                b.n_funcs,
+                self.config.fset.len(),
+                "frozen baseline shaped for a different function set"
+            );
+        }
+        let mut report = empty_report(self.log);
+        if self.log.is_empty() {
+            report.converged = true;
+            return report;
+        }
+        let n_workers = self.log.n_workers().max(self.peers.n_workers());
+        params.ensure_workers(n_workers);
+        if self.threads > 1 {
+            self.side_split(params, &mut report, n_workers);
+        } else {
+            self.sequential(params, &mut report, n_workers);
+        }
+        report
+    }
+
+    fn new_stats(&self, n_workers: usize) -> SufficientStats {
+        SufficientStats::new(self.tasks, n_workers, self.config.fset.len())
     }
 
     /// Both sides in one pass per iteration, on the calling thread.
-    fn sequential(&self, params: &mut ModelParams, report: &mut EmReport) {
-        let mut stats = self.new_stats();
+    fn sequential(&self, params: &mut ModelParams, report: &mut EmReport, n_workers: usize) {
+        let mut stats = self.new_stats(n_workers);
         let mut scratch = Scratch::new(self.config.fset.len());
         let mut previous = params.clone();
         for _ in 0..self.config.max_iterations {
-            stats.reset_from(self.baseline, self.n_workers);
+            stats.reset_from(self.baseline, n_workers);
             let mut log_likelihood = 0.0;
             let (task, worker) = stats.sides_mut();
             sweep::sweep(
@@ -909,7 +814,7 @@ impl EmRun<'_> {
 
     /// The side split: the task side on the calling thread, the worker
     /// side on one helper for the whole run.
-    fn side_split(&self, params: &mut ModelParams, report: &mut EmReport) {
+    fn side_split(&self, params: &mut ModelParams, report: &mut EmReport, n_workers: usize) {
         let answers = self.log.answers();
         let mid = answers.len() / 2;
         let halves = || {
@@ -919,7 +824,7 @@ impl EmRun<'_> {
             ]
         };
         let (geometry, alpha) = (self.geometry, self.config.alpha);
-        let mut stats = self.new_stats();
+        let mut stats = self.new_stats(n_workers);
         let (task_stats, worker_stats) = stats.sides_mut();
         let n_funcs = self.config.fset.len();
         let (mut task_scratch, mut worker_scratch) = (Scratch::new(n_funcs), Scratch::new(n_funcs));
@@ -942,7 +847,7 @@ impl EmRun<'_> {
             },
             |step| match step {
                 Step::Estep { params, llh } => {
-                    worker_stats.reset_from(self.baseline.map(|b| &b.worker), self.n_workers);
+                    worker_stats.reset_from(self.baseline.map(|b| &b.worker), n_workers);
                     let side = &mut WorkerSide::fresh(worker_stats);
                     let scratch = &mut worker_scratch;
                     sweep::sweep_halves(side, params, geometry, alpha, halves(), scratch, llh);

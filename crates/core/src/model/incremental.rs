@@ -5,7 +5,7 @@
 //! The rebuild itself comes in two flavours:
 //!
 //! * a **full sweep** — batch EM over the whole log on the geometry-cached
-//!   fast path ([`crate::model::em::run_em_geometry_pooled_threads`]),
+//!   fast path ([`EmRun`]),
 //!   bit-identical to the
 //!   naive reference when no peer statistics have been folded in — for
 //!   *every* [`UpdatePolicy::parallelism`] setting;
@@ -30,8 +30,7 @@
 //! the union of the answers would estimate.
 
 use crate::model::em::{
-    run_em_geometry_pooled_threads_from, EmConfig, EmParallelism, EmReport, SufficientStats,
-    TaskStats, WorkerStats,
+    EmConfig, EmParallelism, EmReport, EmRun, SufficientStats, TaskStats, WorkerStats,
 };
 use crate::model::geometry::AnswerGeometry;
 use crate::model::gossip::{PeerStats, WorkerStatDelta};
@@ -412,16 +411,16 @@ impl OnlineModel {
 
     fn run_full_sweep(&mut self, tasks: &TaskSet, log: &AnswerLog) -> EmReport {
         let threads = self.sweep_threads(log.len());
-        let report = run_em_geometry_pooled_threads_from(
+        let report = EmRun {
             tasks,
             log,
-            &self.geometry,
-            &self.config,
-            &mut self.params,
-            &self.peers,
+            geometry: &self.geometry,
+            config: &self.config,
+            peers: &self.peers,
             threads,
-            self.frozen.as_ref(),
-        );
+            baseline: self.frozen.as_ref(),
+        }
+        .run(&mut self.params);
         self.rebuild_stats(log);
         self.runs_since_sweep = 0;
         report

@@ -28,9 +28,8 @@ pub mod posterior;
 pub(crate) mod sweep;
 
 pub use em::{
-    run_em, run_em_from, run_em_from_naive, run_em_geometry, run_em_geometry_pooled,
-    run_em_geometry_pooled_threads, run_em_geometry_threads, run_em_naive, EmConfig, EmParallelism,
-    EmReport, FvalTable, SufficientStats,
+    run_em, run_em_from_naive, run_em_naive, EmConfig, EmParallelism, EmReport, EmRun, FvalTable,
+    SufficientStats,
 };
 pub use geometry::AnswerGeometry;
 pub use gossip::{PeerStats, WorkerStatDelta};

@@ -18,8 +18,8 @@ use std::time::Duration;
 use crowd_core::accuracy::AccuracyEstimator;
 use crowd_core::model::WorkerStatDelta;
 use crowd_core::model::{
-    run_em, run_em_geometry_threads, run_em_naive, AnswerGeometry, EmConfig, EmParallelism,
-    EmReport, OnlineModel, UpdatePolicy,
+    run_em, run_em_naive, AnswerGeometry, EmConfig, EmParallelism, EmReport, EmRun, OnlineModel,
+    PeerStats, UpdatePolicy,
 };
 use crowd_core::{
     synthetic_task, AccOptAssigner, Answer, AnswerLog, AssignContext, Assigner,
@@ -337,7 +337,16 @@ fn run_at(
 ) -> (ModelParams, EmReport) {
     let mut params = ModelParams::init(tasks, log.n_workers(), config.fset.len(), config.init, log);
     let geometry = AnswerGeometry::build(tasks, log, &config.fset);
-    let report = run_em_geometry_threads(tasks, log, &geometry, config, &mut params, threads);
+    let report = EmRun {
+        tasks,
+        log,
+        geometry: &geometry,
+        config,
+        peers: PeerStats::empty_ref(),
+        threads,
+        baseline: None,
+    }
+    .run(&mut params);
     (params, report)
 }
 

@@ -864,7 +864,7 @@ fn debug_trace(state: &ServerState, req: &Request) -> Response {
     }
 }
 
-/// `POST /admin/snapshot` — renders the v3 snapshot document and returns
+/// `POST /admin/snapshot` — renders the v4 snapshot document and returns
 /// it as the response body. Quiesces the ingestion queues first, so
 /// clients should pause traffic for a consistent capture (concurrent
 /// submits merely delay the flush).

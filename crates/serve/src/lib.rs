@@ -72,15 +72,16 @@
 //!   a `(source, version)`-deduplicated table.
 //!   [`LabellingService::restore`] *hardens from parameters* — bulk-load
 //!   the pre-checkpoint log, re-seed the converged parameters, replay
-//!   only the suffix — while [`LabellingService::restore_replay`] keeps
-//!   the full event-stream replay as the verification path and
-//!   [`LabellingService::restore_verified`] proves the two bit-identical.
+//!   only the suffix — and replays the full event stream of any shard
+//!   without a checkpoint; [`LabellingService::restore_verified`] also
+//!   restores a checkpoint-free copy that way and proves the two
+//!   bit-identical.
 //!   [`Shard::snapshot_delta`] / [`ServiceSnapshot::compact`] add
 //!   incremental snapshots: ship only what a base missed, then fold the
 //!   chain back into a base byte-identical to a one-shot snapshot
-//!   (re-base after a handoff — deltas are not defined over elastic
-//!   documents). v1–v3 documents still parse and restore exactly as
-//!   recorded.
+//!   (re-base after a handoff — deltas are not defined once the map has
+//!   moved). Every writer emits v4; v1–v3 documents are upgraded on
+//!   parse and restore exactly as recorded.
 //!
 //! # Quick start
 //!

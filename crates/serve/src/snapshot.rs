@@ -1,7 +1,6 @@
 //! Campaign persistence: snapshot format **v4** — elastic-aware on top of
 //! the v3 parameter-carrying, delta-deduplicated layout — plus the
-//! v1/v2/v3 readers and the replay-based restore kept as the verification
-//! path.
+//! upgrade-on-parse readers for v1–v3 documents.
 //!
 //! The full spec lives in `docs/SNAPSHOT_FORMAT.md`; the short version:
 //!
@@ -22,10 +21,11 @@
 //!      [`crowd_core::OnlineModel::restore_checkpoint`] — so restore
 //!      bulk-loads the prefix, re-seeds the parameters, recomputes the
 //!      sufficient statistics with one deterministic E-pass and replays
-//!      only the short suffix recorded after the checkpoint.
-//!      [`LabellingService::restore_replay`] keeps the full replay as the
-//!      verify path, and [`LabellingService::restore_verified`] runs both
-//!      and proves them bit-identical.
+//!      only the short suffix recorded after the checkpoint. A shard
+//!      without a checkpoint replays its whole stream;
+//!      [`LabellingService::restore_verified`] also restores a copy of the
+//!      document with every checkpoint cleared and proves the two
+//!      bit-identical.
 //!   2. **Deduplication**: every [`WorkerStatDelta`] payload is stored
 //!      once in a top-level table keyed `(source, version)` (the publish
 //!      counter makes the key unique); fold events and exchange slots are
@@ -33,7 +33,7 @@
 //!   3. **Increments**: [`Shard::snapshot_delta`] emits only the answers
 //!      and events recorded past a [`SnapshotCursor`];
 //!      [`ServiceSnapshot::compact`] folds a chain of
-//!      [`ServiceSnapshotDelta`]s back into a v3 base that is
+//!      [`ServiceSnapshotDelta`]s back into a base that is
 //!      byte-identical to a fresh full snapshot.
 //!
 //! * **v4** makes elasticity persistable. Three content-conditional
@@ -52,12 +52,16 @@
 //!
 //!   A `prune_every` config field (the periodic self-scheduled prune)
 //!   rides along, emitted only when set. Incremental deltas are **not**
-//!   defined over elastic documents: [`LabellingService::snapshot_delta`]
-//!   rejects a campaign whose map has moved (re-base on a full snapshot
-//!   instead).
+//!   defined once a handoff has moved the map or materialized `seqs`:
+//!   [`LabellingService::snapshot_delta`] rejects such a campaign (re-base
+//!   on a full snapshot instead). Registrations are ordinary stream events
+//!   and chain like any other.
 //!
-//! v1–v3 documents still parse and restore exactly as recorded (v1/v2
-//! carry no checkpoint, so restore falls back to the replay path).
+//! The in-memory form is version-free: [`ServiceSnapshot::to_json`] always
+//! writes v4, and v1–v3 documents are upgraded on parse into the same form
+//! (inline v1/v2 payloads resolve where v3+ table references do) and
+//! restore exactly as recorded — v1/v2 carry no checkpoint, so restore
+//! replays their whole stream.
 
 use std::collections::BTreeMap;
 
@@ -72,10 +76,11 @@ use crate::json::{Json, JsonError};
 use crate::service::{LabellingService, RetentionPolicy, ServeConfig};
 use crate::shard::{GossipEvent, GossipEventKind, ModelCheckpoint, Shard, ShardMap};
 
-/// Current snapshot format version. Versions 1 (pre-gossip), 2 (gossip,
-/// inline payloads, no checkpoint) and 3 (checkpoints + delta table, no
-/// elasticity) are still accepted by [`ServiceSnapshot::from_json`] and
-/// can be re-emitted by [`ServiceSnapshot::to_json_versioned`].
+/// The snapshot format version every writer stamps. Versions 1
+/// (pre-gossip), 2 (gossip, inline payloads, no checkpoint) and 3
+/// (checkpoints + delta table, no elasticity) are still accepted by
+/// [`ServiceSnapshot::from_json`], and v3 deltas by
+/// [`ServiceSnapshotDelta::from_json`].
 pub const SNAPSHOT_VERSION: u64 = 4;
 
 /// Errors from snapshot encoding, decoding or restore.
@@ -197,8 +202,6 @@ pub struct SnapshotShardMap {
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServiceSnapshot {
-    /// Format version ([`SNAPSHOT_VERSION`]).
-    pub version: u64,
     /// Task count of the campaign the snapshot belongs to.
     pub n_tasks: usize,
     /// Worker count of the campaign the snapshot belongs to.
@@ -259,8 +262,6 @@ pub struct ShardDelta {
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServiceSnapshotDelta {
-    /// Format version (always [`SNAPSHOT_VERSION`]; deltas exist only in v3).
-    pub version: u64,
     /// Task count of the campaign (validated against the base on compact).
     pub n_tasks: usize,
     /// Worker count of the campaign.
@@ -406,7 +407,10 @@ fn table_to_json(table: &DeltaTable<'_>) -> Json {
     Json::Arr(table.values().map(|d| delta_to_json(d)).collect())
 }
 
-fn table_from_json(doc: &Json) -> Result<BTreeMap<(u64, u64), WorkerStatDelta>, SnapshotError> {
+/// The parsed payload table of a v3+ document, keyed like [`DeltaTable`].
+type PayloadTable = BTreeMap<(u64, u64), WorkerStatDelta>;
+
+fn table_from_json(doc: &Json) -> Result<PayloadTable, SnapshotError> {
     let mut table = BTreeMap::new();
     // Absent table = no gossip data anywhere in the document.
     let Some(entries) = doc.get("deltas") else {
@@ -455,10 +459,7 @@ fn check_stamp_uniqueness<'a>(
     Ok(())
 }
 
-fn table_lookup(
-    table: &BTreeMap<(u64, u64), WorkerStatDelta>,
-    value: &Json,
-) -> Result<WorkerStatDelta, SnapshotError> {
+fn table_lookup(table: &PayloadTable, value: &Json) -> Result<WorkerStatDelta, SnapshotError> {
     let source = usize_field(value, "source")? as u64;
     let version = usize_field(value, "version")? as u64;
     table.get(&(source, version)).cloned().ok_or_else(|| {
@@ -466,6 +467,18 @@ fn table_lookup(
             "delta table has no entry for (source {source}, version {version})"
         ))
     })
+}
+
+/// Resolves one fold payload: inline in a v1/v2 document (`table` is
+/// `None`), a `(source, version)` reference into the table from v3 on.
+fn payload_from_json(
+    value: &Json,
+    table: Option<&PayloadTable>,
+) -> Result<WorkerStatDelta, SnapshotError> {
+    match table {
+        None => delta_from_json(value),
+        Some(table) => table_lookup(table, value),
+    }
 }
 
 fn delta_ref_json(delta: &WorkerStatDelta) -> Json {
@@ -636,36 +649,9 @@ fn register_entry(entry: &mut Vec<(String, Json)>, name: &str, x: f64, y: f64) {
     ));
 }
 
-/// Renders events with payloads inline (v1/v2 layout).
-fn events_to_json_inline(events: &[GossipEvent]) -> Json {
-    Json::Arr(
-        events
-            .iter()
-            .map(|e| {
-                let mut entry = vec![("position".into(), Json::uint(e.position as u64))];
-                match &e.kind {
-                    GossipEventKind::Fold(delta) => {
-                        entry.push(("delta".into(), delta_to_json(delta)));
-                    }
-                    GossipEventKind::FoldRef { source, version } => {
-                        fold_ref_entry(&mut entry, *source, *version);
-                    }
-                    GossipEventKind::FullSweep => {
-                        entry.push(("sweep".into(), Json::Bool(true)));
-                    }
-                    GossipEventKind::Register { name, x, y } => {
-                        register_entry(&mut entry, name, *x, *y);
-                    }
-                }
-                Json::Obj(entry)
-            })
-            .collect(),
-    )
-}
-
 /// Renders events with fold payloads as `(source, version)` references
-/// into the top-level delta table (v3 layout).
-fn events_to_json_refs(events: &[GossipEvent]) -> Json {
+/// into the top-level delta table.
+fn events_to_json(events: &[GossipEvent]) -> Json {
     Json::Arr(
         events
             .iter()
@@ -692,7 +678,7 @@ fn events_to_json_refs(events: &[GossipEvent]) -> Json {
     )
 }
 
-/// Parses the registration form shared by both event layouts, when marked.
+/// Parses a worker registration event, when marked.
 fn register_from_json(e: &Json) -> Result<Option<GossipEventKind>, SnapshotError> {
     let Some(reg) = e.get("register") else {
         return Ok(None);
@@ -716,7 +702,7 @@ fn register_from_json(e: &Json) -> Result<Option<GossipEventKind>, SnapshotError
     }))
 }
 
-/// Parses the pruned-fold form shared by both event layouts, when marked.
+/// Parses a pruned fold reference, when marked.
 fn fold_ref_from_json(e: &Json) -> Result<Option<GossipEventKind>, SnapshotError> {
     match e.get("ref") {
         None => Ok(None),
@@ -737,38 +723,12 @@ fn fold_ref_from_json(e: &Json) -> Result<Option<GossipEventKind>, SnapshotError
     }
 }
 
-fn events_from_json_inline(value: &Json) -> Result<Vec<GossipEvent>, SnapshotError> {
-    let events_json = value
-        .as_arr()
-        .ok_or_else(|| SnapshotError::Schema("'gossip_events' is not an array".into()))?;
-    let mut events = Vec::with_capacity(events_json.len());
-    for e in events_json {
-        let kind = if let Some(kind) = register_from_json(e)? {
-            kind
-        } else if let Some(kind) = fold_ref_from_json(e)? {
-            kind
-        } else {
-            match (e.get("delta"), e.get("sweep")) {
-                (Some(delta), None) => GossipEventKind::Fold(delta_from_json(delta)?),
-                (None, Some(Json::Bool(true))) => GossipEventKind::FullSweep,
-                _ => {
-                    return Err(SnapshotError::Schema(
-                        "gossip event must carry exactly one of 'delta' or 'sweep':true".into(),
-                    ))
-                }
-            }
-        };
-        events.push(GossipEvent {
-            position: usize_field(e, "position")?,
-            kind,
-        });
-    }
-    Ok(events)
-}
-
-fn events_from_json_refs(
+/// Parses a shard's event stream. A fold carries its payload inline in a
+/// v1/v2 document (`table` is `None`) and a `(source, version)` reference
+/// into the table from v3 on; both resolve through [`payload_from_json`].
+fn events_from_json(
     value: &Json,
-    table: &BTreeMap<(u64, u64), WorkerStatDelta>,
+    table: Option<&PayloadTable>,
 ) -> Result<Vec<GossipEvent>, SnapshotError> {
     let events_json = value
         .as_arr()
@@ -780,15 +740,16 @@ fn events_from_json_refs(
         } else if let Some(kind) = fold_ref_from_json(e)? {
             kind
         } else {
-            let has_ref = e.get("source").is_some() || e.get("version").is_some();
-            match (e.get("sweep"), has_ref) {
-                (Some(Json::Bool(true)), false) => GossipEventKind::FullSweep,
-                (None, _) => GossipEventKind::Fold(table_lookup(table, e)?),
+            let fold = match table {
+                None => e.get("delta"),
+                Some(_) => (e.get("source").is_some() || e.get("version").is_some()).then_some(e),
+            };
+            match (fold, e.get("sweep")) {
+                (Some(payload), None) => GossipEventKind::Fold(payload_from_json(payload, table)?),
+                (None, Some(Json::Bool(true))) => GossipEventKind::FullSweep,
                 _ => {
                     return Err(SnapshotError::Schema(
-                        "gossip event must carry exactly one of a (source, version) \
-                         reference or 'sweep':true"
-                            .into(),
+                        "gossip event must carry exactly one fold payload or 'sweep':true".into(),
                     ))
                 }
             }
@@ -801,16 +762,7 @@ fn events_from_json_refs(
     Ok(events)
 }
 
-fn exchange_to_json_inline(exchange: &[Option<WorkerStatDelta>]) -> Json {
-    Json::Arr(
-        exchange
-            .iter()
-            .map(|slot| slot.as_ref().map_or(Json::Null, delta_to_json))
-            .collect(),
-    )
-}
-
-fn exchange_to_json_refs(exchange: &[Option<WorkerStatDelta>]) -> Json {
+fn exchange_to_json(exchange: &[Option<WorkerStatDelta>]) -> Json {
     Json::Arr(
         exchange
             .iter()
@@ -819,23 +771,9 @@ fn exchange_to_json_refs(exchange: &[Option<WorkerStatDelta>]) -> Json {
     )
 }
 
-fn exchange_from_json_inline(value: &Json) -> Result<Vec<Option<WorkerStatDelta>>, SnapshotError> {
-    let slots = value
-        .as_arr()
-        .ok_or_else(|| SnapshotError::Schema("'exchange' is not an array".into()))?;
-    let mut exchange = Vec::with_capacity(slots.len());
-    for slot in slots {
-        exchange.push(match slot {
-            Json::Null => None,
-            v => Some(delta_from_json(v)?),
-        });
-    }
-    Ok(exchange)
-}
-
-fn exchange_from_json_refs(
+fn exchange_from_json(
     value: &Json,
-    table: &BTreeMap<(u64, u64), WorkerStatDelta>,
+    table: Option<&PayloadTable>,
 ) -> Result<Vec<Option<WorkerStatDelta>>, SnapshotError> {
     let slots = value
         .as_arr()
@@ -844,7 +782,7 @@ fn exchange_from_json_refs(
     for slot in slots {
         exchange.push(match slot {
             Json::Null => None,
-            v => Some(table_lookup(table, v)?),
+            v => Some(payload_from_json(v, table)?),
         });
     }
     Ok(exchange)
@@ -1090,111 +1028,12 @@ fn config_from_json(value: &Json) -> Result<ServeConfig, SnapshotError> {
 }
 
 impl ServiceSnapshot {
-    /// Renders the snapshot as a deterministic JSON document in its own
-    /// version's layout: the v3 layout (deduplicated delta table,
-    /// checkpoint blocks) for version ≥ 3 documents, the legacy inline
-    /// layout for documents parsed from v1/v2 text — so a parsed legacy
-    /// document round-trips through its own format.
+    /// Renders the snapshot as a deterministic v4 JSON document: a
+    /// deduplicated delta table, fold events and exchange slots as
+    /// references into it, and checkpoint blocks.
+    #[allow(clippy::cast_precision_loss)]
     #[must_use]
     pub fn to_json(&self) -> String {
-        if self.version >= 3 {
-            self.render_v3(self.version)
-        } else {
-            self.render_legacy(self.version)
-        }
-    }
-
-    /// Renders the snapshot in an explicit format version's layout:
-    /// `2` for the legacy inline layout (checkpoints are dropped — a v2
-    /// reader replays the full stream instead), `3` for the
-    /// checkpoint/delta-table layout without elasticity, `4` for the
-    /// current layout. Kept for downgrade compatibility, the upgrade
-    /// round-trip tests and the format benches.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Schema`] for any other version (v1 documents
-    /// cannot represent gossip state; write v2 instead), for a pruned
-    /// snapshot as v2, or for an elastic snapshot (moved map,
-    /// materialized seqs, mid-campaign registrations) as v2/v3 — older
-    /// readers cannot reconstruct that state.
-    pub fn to_json_versioned(&self, version: u64) -> Result<String, SnapshotError> {
-        match version {
-            2 | 3 if self.is_elastic() => Err(SnapshotError::Schema(format!(
-                "an elastic snapshot (split/merged map, mid-campaign registrations) \
-                 cannot be rendered as v{version} — the shard partition and sequence \
-                 numbers are not representable before v4"
-            ))),
-            2 if self.is_pruned() => Err(SnapshotError::Schema(
-                "a pruned snapshot cannot be rendered as v2 — the truncated answer \
-                 prefix is not representable in the legacy layout"
-                    .into(),
-            )),
-            2 => Ok(self.render_legacy(2)),
-            3 | 4 => Ok(self.render_v3(version)),
-            other => Err(SnapshotError::Schema(format!(
-                "cannot render snapshot as version {other} (supported: 2, 3, 4)"
-            ))),
-        }
-    }
-
-    #[allow(clippy::cast_precision_loss)]
-    fn shard_common_json(s: &ShardSnapshot, events: Json) -> Vec<(String, Json)> {
-        vec![
-            ("shard".into(), Json::Num(s.shard as f64)),
-            ("budget".into(), Json::Num(s.budget as f64)),
-            ("budget_used".into(), Json::Num(s.budget_used as f64)),
-            ("answers".into(), answers_to_json(&s.answers)),
-            ("gossip_events".into(), events),
-            ("publishes".into(), Json::uint(s.publishes)),
-        ]
-    }
-
-    /// True when any shard has a pruned prefix (or a frozen baseline) —
-    /// such documents exist only in the v3+ layout.
-    fn is_pruned(&self) -> bool {
-        self.shards
-            .iter()
-            .any(|s| !s.pruned_pairs.is_empty() || s.frozen.is_some())
-    }
-
-    /// True when the document carries elastic state (a moved shard map,
-    /// materialized sequence numbers, or mid-campaign registrations) —
-    /// representable only from v4 on.
-    fn is_elastic(&self) -> bool {
-        self.map.is_some()
-            || self.shards.iter().any(|s| {
-                s.seqs.is_some()
-                    || s.gossip_events
-                        .iter()
-                        .any(|e| matches!(e.kind, GossipEventKind::Register { .. }))
-            })
-    }
-
-    #[allow(clippy::cast_precision_loss)]
-    fn render_legacy(&self, version: u64) -> String {
-        let shards = self
-            .shards
-            .iter()
-            .map(|s| {
-                Json::Obj(Self::shard_common_json(
-                    s,
-                    events_to_json_inline(&s.gossip_events),
-                ))
-            })
-            .collect();
-        Json::Obj(vec![
-            ("version".into(), Json::Num(version as f64)),
-            ("n_tasks".into(), Json::Num(self.n_tasks as f64)),
-            ("n_workers".into(), Json::Num(self.n_workers as f64)),
-            ("config".into(), config_to_json(&self.config)),
-            ("shards".into(), Json::Arr(shards)),
-            ("exchange".into(), exchange_to_json_inline(&self.exchange)),
-        ])
-        .render()
-    }
-
-    #[allow(clippy::cast_precision_loss)]
-    fn render_v3(&self, version: u64) -> String {
         let table = build_delta_table(
             self.shards.iter().map(|s| s.gossip_events.as_slice()),
             &self.exchange,
@@ -1203,7 +1042,14 @@ impl ServiceSnapshot {
             .shards
             .iter()
             .map(|s| {
-                let mut entry = Self::shard_common_json(s, events_to_json_refs(&s.gossip_events));
+                let mut entry = vec![
+                    ("shard".into(), Json::Num(s.shard as f64)),
+                    ("budget".into(), Json::Num(s.budget as f64)),
+                    ("budget_used".into(), Json::Num(s.budget_used as f64)),
+                    ("answers".into(), answers_to_json(&s.answers)),
+                    ("gossip_events".into(), events_to_json(&s.gossip_events)),
+                    ("publishes".into(), Json::uint(s.publishes)),
+                ];
                 if let Some(cp) = &s.checkpoint {
                     entry.push(("checkpoint".into(), checkpoint_to_json(cp)));
                 }
@@ -1245,7 +1091,7 @@ impl ServiceSnapshot {
             })
             .collect();
         let mut doc = vec![
-            ("version".into(), Json::Num(version as f64)),
+            ("version".into(), Json::uint(SNAPSHOT_VERSION)),
             ("kind".into(), Json::Str("base".into())),
             ("n_tasks".into(), Json::Num(self.n_tasks as f64)),
             ("n_workers".into(), Json::Num(self.n_workers as f64)),
@@ -1273,17 +1119,18 @@ impl ServiceSnapshot {
         doc.extend([
             ("deltas".into(), table_to_json(&table)),
             ("shards".into(), Json::Arr(shards)),
-            ("exchange".into(), exchange_to_json_refs(&self.exchange)),
+            ("exchange".into(), exchange_to_json(&self.exchange)),
         ]);
         Json::Obj(doc).render()
     }
 
-    /// Parses a snapshot document of any supported version (1–3).
+    /// Parses a snapshot document of any supported version (1–4), upgrading
+    /// older layouts into the version-free in-memory form.
     ///
     /// # Errors
     /// [`SnapshotError::Json`] on malformed JSON, [`SnapshotError::Schema`]
     /// on a structurally invalid or version-incompatible document — this
-    /// includes v3 *delta* documents, which must go through
+    /// includes *delta* documents, which must go through
     /// [`ServiceSnapshotDelta::from_json`] and
     /// [`ServiceSnapshot::compact`] instead.
     pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
@@ -1313,11 +1160,7 @@ impl ServiceSnapshot {
                 }
             }
         }
-        let table = if v3 {
-            table_from_json(&doc)?
-        } else {
-            BTreeMap::new()
-        };
+        let table = v3.then(|| table_from_json(&doc)).transpose()?;
         let shards_json = field(&doc, "shards")?
             .as_arr()
             .ok_or_else(|| SnapshotError::Schema("'shards' is not an array".into()))?;
@@ -1327,8 +1170,7 @@ impl ServiceSnapshot {
             // v1 documents predate gossip; an absent array means none.
             let gossip_events = match shard_json.get("gossip_events") {
                 None => Vec::new(),
-                Some(events) if v3 => events_from_json_refs(events, &table)?,
-                Some(events) => events_from_json_inline(events)?,
+                Some(events) => events_from_json(events, table.as_ref())?,
             };
             let publishes = match shard_json.get("publishes") {
                 None => 0,
@@ -1408,8 +1250,7 @@ impl ServiceSnapshot {
         }
         let exchange = match doc.get("exchange") {
             None => Vec::new(),
-            Some(slots) if v3 => exchange_from_json_refs(slots, &table)?,
-            Some(slots) => exchange_from_json_inline(slots)?,
+            Some(slots) => exchange_from_json(slots, table.as_ref())?,
         };
         if !v3 {
             // Legacy documents carry payloads inline; make sure no two of
@@ -1446,7 +1287,6 @@ impl ServiceSnapshot {
             _ => None,
         };
         Ok(Self {
-            version,
             n_tasks: usize_field(&doc, "n_tasks")?,
             n_workers: usize_field(&doc, "n_workers")?,
             config: config_from_json(field(&doc, "config")?)?,
@@ -1472,7 +1312,7 @@ impl ServiceSnapshot {
             .collect()
     }
 
-    /// Folds a chain of incremental snapshots into a new v3 base, in
+    /// Folds a chain of incremental snapshots into a new base, in
     /// order. The result is byte-identical to the full snapshot the
     /// service would have produced at the last delta's capture point
     /// (`compact() ≡ snapshot()` — pinned by the snapshot_v3 test suite),
@@ -1503,7 +1343,6 @@ impl ServiceSnapshot {
         I: IntoIterator<Item = Result<ServiceSnapshotDelta, SnapshotError>>,
     {
         let mut base = self.clone();
-        base.version = SNAPSHOT_VERSION;
         for (step, delta) in chain.into_iter().enumerate() {
             Self::apply_delta(&mut base, &delta?, step)?;
         }
@@ -1517,11 +1356,13 @@ impl ServiceSnapshot {
         delta: &ServiceSnapshotDelta,
         step: usize,
     ) -> Result<(), SnapshotError> {
-        if base.is_elastic() {
+        // Exactly what `LabellingService::snapshot_delta` refuses to write:
+        // a handoff rewrites per-shard streams wholesale.
+        if base.map.is_some() || base.shards.iter().any(|s| s.seqs.is_some()) {
             return Err(SnapshotError::Mismatch(format!(
-                "delta {step}: the base snapshot carries elastic state (moved map, \
-                 sequence numbers or registrations) — deltas are not defined over it; \
-                 take a new full snapshot instead"
+                "delta {step}: the base snapshot carries a moved map or materialized \
+                 sequence numbers — deltas are not defined over it; take a new full \
+                 snapshot instead"
             )));
         }
         if delta.n_tasks != base.n_tasks || delta.n_workers != base.n_workers {
@@ -1590,8 +1431,8 @@ impl ServiceSnapshot {
 }
 
 impl ServiceSnapshotDelta {
-    /// Renders the delta as a deterministic JSON document (v3 layout with
-    /// its own deduplicated payload table, marked `"kind":"delta"`).
+    /// Renders the delta as a deterministic v4 JSON document (its own
+    /// deduplicated payload table, marked `"kind":"delta"`).
     #[allow(clippy::cast_precision_loss)]
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -1610,10 +1451,7 @@ impl ServiceSnapshotDelta {
                     ("budget_used".into(), Json::Num(s.budget_used as f64)),
                     ("publishes".into(), Json::uint(s.publishes)),
                     ("answers".into(), answers_to_json(&s.answers)),
-                    (
-                        "gossip_events".into(),
-                        events_to_json_refs(&s.gossip_events),
-                    ),
+                    ("gossip_events".into(), events_to_json(&s.gossip_events)),
                 ];
                 if let Some(cp) = &s.checkpoint {
                     entry.push(("checkpoint".into(), checkpoint_to_json(cp)));
@@ -1622,28 +1460,29 @@ impl ServiceSnapshotDelta {
             })
             .collect();
         Json::Obj(vec![
-            ("version".into(), Json::Num(self.version as f64)),
+            ("version".into(), Json::uint(SNAPSHOT_VERSION)),
             ("kind".into(), Json::Str("delta".into())),
             ("n_tasks".into(), Json::Num(self.n_tasks as f64)),
             ("n_workers".into(), Json::Num(self.n_workers as f64)),
             ("deltas".into(), table_to_json(&table)),
             ("shards".into(), Json::Arr(shards)),
-            ("exchange".into(), exchange_to_json_refs(&self.exchange)),
+            ("exchange".into(), exchange_to_json(&self.exchange)),
         ])
         .render()
     }
 
-    /// Parses a delta document.
+    /// Parses a delta document. Deltas exist from v3 on, and the v3 and
+    /// v4 delta layouts are identical.
     ///
     /// # Errors
     /// [`SnapshotError::Json`] on malformed JSON, [`SnapshotError::Schema`]
-    /// on a structurally invalid document or one that is not a v3 delta.
+    /// on a structurally invalid document or one that is not a v3/v4 delta.
     pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
         let doc = Json::parse(text)?;
         let version = usize_field(&doc, "version")? as u64;
-        if version != SNAPSHOT_VERSION {
+        if !(3..=SNAPSHOT_VERSION).contains(&version) {
             return Err(SnapshotError::Schema(format!(
-                "unsupported delta version {version} (deltas exist only in v{SNAPSHOT_VERSION})"
+                "unsupported delta version {version} (expected 3..={SNAPSHOT_VERSION})"
             )));
         }
         if doc.get("kind").and_then(Json::as_str) != Some("delta") {
@@ -1666,7 +1505,7 @@ impl ServiceSnapshotDelta {
                 budget_used: usize_field(shard_json, "budget_used")?,
                 publishes: usize_field(shard_json, "publishes")? as u64,
                 answers: answers_from_json(field(shard_json, "answers")?)?,
-                gossip_events: events_from_json_refs(field(shard_json, "gossip_events")?, &table)?,
+                gossip_events: events_from_json(field(shard_json, "gossip_events")?, Some(&table))?,
                 checkpoint: shard_json
                     .get("checkpoint")
                     .map(checkpoint_from_json)
@@ -1674,11 +1513,10 @@ impl ServiceSnapshotDelta {
             });
         }
         Ok(Self {
-            version,
             n_tasks: usize_field(&doc, "n_tasks")?,
             n_workers: usize_field(&doc, "n_workers")?,
             shards,
-            exchange: exchange_from_json_refs(field(&doc, "exchange")?, &table)?,
+            exchange: exchange_from_json(field(&doc, "exchange")?, Some(&table))?,
         })
     }
 
@@ -1819,7 +1657,6 @@ impl LabellingService {
             .map(|slot| slot.read().clone())
             .collect();
         let snapshot = ServiceSnapshot {
-            version: SNAPSHOT_VERSION,
             n_tasks: map.n_tasks(),
             // The *base* pool: mid-campaign registrations live in the
             // event streams and re-grow the pool on restore, so the shape
@@ -1903,42 +1740,11 @@ impl LabellingService {
             .map(|slot| slot.read().clone())
             .collect();
         Ok(ServiceSnapshotDelta {
-            version: SNAPSHOT_VERSION,
             n_tasks: self.inner.map().n_tasks(),
             n_workers: self.inner.base_pool.len(),
             shards,
             exchange,
         })
-    }
-
-    /// Rebuilds a service from a snapshot over the *same* task set and
-    /// worker pool the snapshot was taken from.
-    ///
-    /// Shards that carry a v3 [`ModelCheckpoint`] **harden from
-    /// parameters**: the answers before the checkpoint are bulk-loaded
-    /// (validated but not run through the model), the checkpoint
-    /// parameters are re-seeded and the sufficient statistics recomputed
-    /// with one deterministic E-pass, and only the stream recorded after
-    /// the checkpoint is replayed. Shards without a checkpoint (v1/v2
-    /// documents, or campaigns that never full-swept) replay their whole
-    /// event stream. Either way the restored model state is bit-identical
-    /// to the snapshotted one ([`LabellingService::restore_verified`]
-    /// proves it on demand), the exchange is re-seeded with the
-    /// snapshotted in-flight deltas, and the service is live — producers
-    /// can resume (and keep gossiping) where the campaign left off.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Mismatch`] when `tasks` / `workers` do not match
-    /// the snapshot's shapes (or the derived shard map / budget slices
-    /// disagree, a gossip event is mis-positioned, or a checkpoint is
-    /// inconsistent with its shard), [`SnapshotError::Replay`] when a
-    /// recorded answer is rejected.
-    pub fn restore(
-        tasks: &TaskSet,
-        workers: &WorkerPool,
-        snapshot: &ServiceSnapshot,
-    ) -> Result<Self, SnapshotError> {
-        Self::restore_inner(tasks, workers, snapshot, true)
     }
 
     /// Rebuilds a service from a base snapshot plus a *stream* of deltas,
@@ -1964,42 +1770,13 @@ impl LabellingService {
         Self::restore(tasks, workers, &compacted)
     }
 
-    /// Rebuilds a service by replaying every shard's **full** recorded
-    /// event stream — answers in arrival order interleaved with gossip
-    /// folds and hardening sweeps at their recorded positions — ignoring
-    /// any checkpoints. This is the v1/v2 restore algorithm, kept as the
-    /// verification path for the v3 parameter fast path: replay
-    /// reproduces the exact sequence the live shards processed, so its
-    /// result is bit-identical to the snapshotted state by construction.
-    ///
-    /// # Errors
-    /// As for [`LabellingService::restore`], plus
-    /// [`SnapshotError::Mismatch`] on a pruned snapshot: the truncated
-    /// answer payloads no longer exist, so there is nothing to replay —
-    /// pruned documents restore only through their checkpoint.
-    pub fn restore_replay(
-        tasks: &TaskSet,
-        workers: &WorkerPool,
-        snapshot: &ServiceSnapshot,
-    ) -> Result<Self, SnapshotError> {
-        if let Some(s) = snapshot.shards.iter().find(|s| !s.pruned_pairs.is_empty()) {
-            return Err(SnapshotError::Mismatch(format!(
-                "shard {}: {} answers were pruned from the stream — a pruned snapshot \
-                 cannot be restored by full replay",
-                s.shard,
-                s.pruned_pairs.len()
-            )));
-        }
-        Self::restore_inner(tasks, workers, snapshot, false)
-    }
-
-    /// Restores through **both** paths — parameters and full replay — and
-    /// proves them bit-identical (per-shard model parameters, folded peer
-    /// tables, publish counters, checkpoints, and the hardened decisions)
-    /// before returning the parameter-restored service. The snapshot
-    /// `--verify` mode: slower than [`LabellingService::restore`] by one
-    /// full replay, but certifies the fast path on the operator's actual
-    /// document.
+    /// Restores through **both** paths — parameters, and full replay of a
+    /// copy with every checkpoint cleared — and proves them bit-identical
+    /// (per-shard model parameters, folded peer tables, publish counters,
+    /// checkpoints, and the hardened decisions) before returning the
+    /// parameter-restored service. The snapshot `--verify` mode: slower
+    /// than [`LabellingService::restore`] by one full replay, but
+    /// certifies the fast path on the operator's actual document.
     ///
     /// On a **pruned** snapshot the replay path no longer exists (the
     /// truncated payloads are gone), so verification degrades to
@@ -2018,8 +1795,12 @@ impl LabellingService {
         workers: &WorkerPool,
         snapshot: &ServiceSnapshot,
     ) -> Result<Self, SnapshotError> {
-        if snapshot.is_pruned() {
-            let fast = Self::restore(tasks, workers, snapshot)?;
+        let fast = Self::restore(tasks, workers, snapshot)?;
+        let pruned = snapshot
+            .shards
+            .iter()
+            .any(|s| !s.pruned_pairs.is_empty() || s.frozen.is_some());
+        if pruned {
             let again = fast.snapshot();
             if again != *snapshot {
                 return Err(SnapshotError::Mismatch(
@@ -2030,8 +1811,11 @@ impl LabellingService {
             }
             return Ok(fast);
         }
-        let fast = Self::restore(tasks, workers, snapshot)?;
-        let replay = Self::restore_replay(tasks, workers, snapshot)?;
+        let mut replayed = snapshot.clone();
+        for shard in &mut replayed.shards {
+            shard.checkpoint = None;
+        }
+        let replay = Self::restore(tasks, workers, &replayed)?;
         for i in 0..fast.n_shards() {
             let a = fast.shard(i);
             let b = replay.shard(i);
@@ -2061,12 +1845,39 @@ impl LabellingService {
         Ok(fast)
     }
 
+    /// Rebuilds a service from a snapshot over the *same* task set and
+    /// worker pool the snapshot was taken from.
+    ///
+    /// Shards that carry a v3 [`ModelCheckpoint`] **harden from
+    /// parameters**: the answers before the checkpoint are bulk-loaded
+    /// (validated but not run through the model), the checkpoint
+    /// parameters are re-seeded and the sufficient statistics recomputed
+    /// with one deterministic E-pass, and only the stream recorded after
+    /// the checkpoint is replayed. Shards without a checkpoint (v1/v2
+    /// documents, campaigns that never full-swept, or a copy with every
+    /// checkpoint cleared) **replay** their whole event stream — answers
+    /// in arrival order interleaved with gossip folds and hardening sweeps
+    /// at their recorded positions, which reproduces the exact sequence
+    /// the live shard processed. A pruned shard has no payloads to replay
+    /// and restores only through its checkpoint. Either way the restored
+    /// model state is bit-identical to the snapshotted one
+    /// ([`LabellingService::restore_verified`] proves it on demand), the
+    /// exchange is re-seeded with the snapshotted in-flight deltas, and the
+    /// service is live — producers can resume (and keep gossiping) where
+    /// the campaign left off.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Mismatch`] when `tasks` / `workers` do not match
+    /// the snapshot's shapes (or the derived shard map / budget slices
+    /// disagree, a gossip event is mis-positioned, a checkpoint is
+    /// inconsistent with its shard, or a pruned shard lacks its
+    /// checkpoint), [`SnapshotError::Replay`] when a recorded answer is
+    /// rejected.
     #[allow(clippy::too_many_lines)]
-    fn restore_inner(
+    pub fn restore(
         tasks: &TaskSet,
         workers: &WorkerPool,
         snapshot: &ServiceSnapshot,
-        use_checkpoints: bool,
     ) -> Result<Self, SnapshotError> {
         let started = std::time::Instant::now();
         if snapshot.n_tasks != tasks.len() {
@@ -2181,23 +1992,12 @@ impl LabellingService {
                      recorded — the pruned prefix is unrecoverable"
                 )));
             }
-            // The stream position replay starts from: (0, 0) on the replay
-            // path, the checkpoint on the parameter path. Positions are
-            // stream-wide: on a pruned shard the in-memory answers vector
-            // starts at `floor`.
-            let (start_answer, start_event) = match shard_snapshot
-                .checkpoint
-                .as_ref()
-                .filter(|_| use_checkpoints)
-            {
-                None if floor > 0 => {
-                    // Unreachable through the public paths (restore_replay
-                    // rejects pruned documents up front) but kept explicit
-                    // so the arithmetic below can never underflow.
-                    return Err(SnapshotError::Mismatch(format!(
-                        "shard {i}: a pruned shard cannot be restored without its checkpoint"
-                    )));
-                }
+            // The stream position replay starts from: (0, 0) without a
+            // checkpoint (a pruned shard has one, checked above), the
+            // checkpoint on the parameter path. Positions are stream-wide:
+            // on a pruned shard the in-memory answers vector starts at
+            // `floor`.
+            let (start_answer, start_event) = match &shard_snapshot.checkpoint {
                 None => (0, 0),
                 Some(cp) => {
                     Self::restore_shard_checkpoint(i, &mut shard, shard_snapshot, cp)?;
@@ -2502,7 +2302,6 @@ mod tests {
 
     fn sample_snapshot() -> ServiceSnapshot {
         ServiceSnapshot {
-            version: SNAPSHOT_VERSION,
             n_tasks: 20,
             n_workers: 7,
             config: ServeConfig {
@@ -2592,28 +2391,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_encoding_round_trips_without_checkpoints() {
-        let snapshot = sample_snapshot();
-        let v2_text = snapshot.to_json_versioned(2).unwrap();
-        assert!(!v2_text.contains("checkpoint"));
-        assert!(!v2_text.contains("\"deltas\""));
-        let back = ServiceSnapshot::from_json(&v2_text).unwrap();
-        assert_eq!(back.version, 2);
-        assert_eq!(back.shards[0].checkpoint, None);
-        assert_eq!(back.shards[0].answers, snapshot.shards[0].answers);
-        assert_eq!(
-            back.shards[0].gossip_events,
-            snapshot.shards[0].gossip_events
-        );
-        assert_eq!(back.exchange, snapshot.exchange);
-        // A parsed legacy document re-renders in its own layout.
-        assert_eq!(back.to_json(), v2_text);
-        // And unsupported target versions are rejected.
-        assert!(snapshot.to_json_versioned(1).is_err());
-        assert!(snapshot.to_json_versioned(5).is_err());
-    }
-
-    #[test]
     fn checkpoint_params_survive_round_trip_bit_for_bit() {
         let snapshot = sample_snapshot();
         let back = ServiceSnapshot::from_json(&snapshot.to_json()).unwrap();
@@ -2656,7 +2433,7 @@ mod tests {
     }
 
     #[test]
-    fn pruned_snapshot_round_trips_and_rejects_v2() {
+    fn pruned_snapshot_round_trips() {
         let snapshot = pruned_sample_snapshot();
         let text = snapshot.to_json();
         let back = ServiceSnapshot::from_json(&text).unwrap();
@@ -2670,9 +2447,6 @@ mod tests {
         // A pruned fold reference must not resolve through the delta table
         // (its payload is gone by design) and must round-trip as a ref.
         assert!(text.contains("\"ref\":true"));
-        // The legacy layout cannot represent a truncated stream.
-        let err = snapshot.to_json_versioned(2).unwrap_err();
-        assert!(matches!(err, SnapshotError::Schema(_)), "{err}");
     }
 
     #[test]
@@ -2788,7 +2562,6 @@ mod tests {
                   \"shards\":[{\"shard\":0,\"budget\":10,\"budget_used\":0,\
                   \"answers\":[{\"w\":0,\"t\":1,\"bits\":\"101\"}]}]}";
         let parsed = ServiceSnapshot::from_json(v1).unwrap();
-        assert_eq!(parsed.version, 1);
         assert_eq!(parsed.config.gossip_every, None);
         assert_eq!(parsed.config.policy.dirty_coverage_fallback, 60);
         // Pre-parallelism snapshots restore pinned to the sequential
@@ -2799,11 +2572,39 @@ mod tests {
         assert!(parsed.exchange.is_empty());
     }
 
+    /// A handwritten v2 document (payloads inline, no checkpoint, no delta
+    /// table): shard 0 folds `fold0` at position 1 and hardens at 2,
+    /// shard 1 folds `fold1` at 0, and the exchange holds `held`.
+    fn v2_text(fold0: &WorkerStatDelta, fold1: &WorkerStatDelta, held: &WorkerStatDelta) -> String {
+        let inline = |d: &WorkerStatDelta| delta_to_json(d).render();
+        format!(
+            "{{\"version\":2,\"n_tasks\":20,\"n_workers\":7,\"config\":{},\"shards\":[\
+             {{\"shard\":0,\"budget\":60,\"budget_used\":12,\"answers\":[\
+             {{\"w\":3,\"t\":11,\"bits\":\"101\"}},{{\"w\":0,\"t\":4,\"bits\":\"000\"}}],\
+             \"gossip_events\":[{{\"position\":1,\"delta\":{}}},{{\"position\":2,\"sweep\":true}}],\
+             \"publishes\":3}},\
+             {{\"shard\":1,\"budget\":63,\"budget_used\":0,\"answers\":[],\
+             \"gossip_events\":[{{\"position\":0,\"delta\":{}}}],\"publishes\":0}}],\
+             \"exchange\":[{},null]}}",
+            config_to_json(&sample_snapshot().config).render(),
+            inline(fold0),
+            inline(fold1),
+            inline(held),
+        )
+    }
+
     #[test]
     fn malformed_delta_payload_is_rejected() {
         let mut snapshot = sample_snapshot();
         snapshot.exchange[0].as_mut().unwrap().i_sum.pop();
         let err = ServiceSnapshot::from_json(&snapshot.to_json()).unwrap_err();
+        assert!(matches!(err, SnapshotError::Schema(_)), "{err}");
+
+        // The same shape check guards payloads carried inline (v1/v2).
+        let mut short = sample_delta(0, 2);
+        short.i_sum.pop();
+        let text = v2_text(&sample_delta(1, 9), &sample_delta(1, 9), &short);
+        let err = ServiceSnapshot::from_json(&text).unwrap_err();
         assert!(matches!(err, SnapshotError::Schema(_)), "{err}");
     }
 
@@ -2811,20 +2612,38 @@ mod tests {
     fn conflicting_stamps_and_ambiguous_events_are_rejected() {
         // Legacy documents: two *different* payloads under one stamp are
         // corrupt (v2 stored one copy per folding peer — they must agree);
-        // identical duplicates are the normal case and must keep parsing.
-        let mut snapshot = sample_snapshot();
-        snapshot.shards[1].gossip_events = vec![GossipEvent {
-            position: 0,
-            kind: GossipEventKind::Fold(sample_delta(1, 9)),
-        }];
-        assert!(
-            ServiceSnapshot::from_json(&snapshot.to_json_versioned(2).unwrap()).is_ok(),
-            "identical duplicate payloads are the expected legacy shape"
+        // identical duplicates are the normal case and must keep parsing,
+        // upgraded into the same in-memory form a v4 document parses to.
+        let (fold, held) = (sample_delta(1, 9), sample_delta(0, 2));
+        let legacy = ServiceSnapshot::from_json(&v2_text(&fold, &fold, &held))
+            .expect("identical duplicate payloads are the expected legacy shape");
+        assert_eq!(
+            legacy.shards[1].gossip_events[0].kind,
+            GossipEventKind::Fold(fold.clone())
         );
-        let mut conflicting = sample_delta(1, 9);
+        assert_eq!(legacy.exchange, vec![Some(held.clone()), None]);
+        let upgraded = legacy.to_json();
+        assert!(upgraded.starts_with("{\"version\":4,"), "{upgraded}");
+        assert_eq!(ServiceSnapshot::from_json(&upgraded).unwrap(), legacy);
+
+        let mut conflicting = fold.clone();
         conflicting.i_sum[0] += 1.0;
-        snapshot.shards[1].gossip_events[0].kind = GossipEventKind::Fold(conflicting);
-        let err = ServiceSnapshot::from_json(&snapshot.to_json_versioned(2).unwrap()).unwrap_err();
+        let err = ServiceSnapshot::from_json(&v2_text(&fold, &conflicting, &held)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Schema(_)), "{err}");
+
+        // A v2 event carrying both an inline payload and 'sweep':true is
+        // ambiguous.
+        let text = v2_text(&fold, &fold, &held);
+        let ambiguous = text.replacen(
+            "{\"position\":2,\"sweep\":true}",
+            &format!(
+                "{{\"position\":2,\"sweep\":true,\"delta\":{}}}",
+                delta_to_json(&fold).render()
+            ),
+            1,
+        );
+        assert_ne!(ambiguous, text);
+        let err = ServiceSnapshot::from_json(&ambiguous).unwrap_err();
         assert!(matches!(err, SnapshotError::Schema(_)), "{err}");
 
         // v3 documents: a duplicated table entry is rejected outright.
@@ -2870,7 +2689,6 @@ mod tests {
     #[test]
     fn delta_documents_are_rejected_by_the_base_parser() {
         let delta = ServiceSnapshotDelta {
-            version: SNAPSHOT_VERSION,
             n_tasks: 20,
             n_workers: 7,
             shards: vec![],
@@ -2883,7 +2701,6 @@ mod tests {
     #[test]
     fn delta_document_round_trips() {
         let delta = ServiceSnapshotDelta {
-            version: SNAPSHOT_VERSION,
             n_tasks: 20,
             n_workers: 7,
             shards: vec![ShardDelta {
@@ -2924,7 +2741,6 @@ mod tests {
     fn compact_appends_streams_and_adopts_latest_counters() {
         let base = sample_snapshot();
         let delta = ServiceSnapshotDelta {
-            version: SNAPSHOT_VERSION,
             n_tasks: 20,
             n_workers: 7,
             shards: vec![
@@ -2968,7 +2784,7 @@ mod tests {
         assert_eq!(compacted.shards[0].publishes, 5);
         assert_eq!(compacted.shards[1].gossip_events.len(), 1);
         assert_eq!(compacted.exchange, delta.exchange);
-        // The compacted base is a normal v3 document.
+        // The compacted base is a normal base document.
         let back = ServiceSnapshot::from_json(&compacted.to_json()).unwrap();
         assert_eq!(back, compacted);
 
@@ -3019,10 +2835,28 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut snapshot = sample_snapshot();
-        snapshot.version = 99;
-        let err = ServiceSnapshot::from_json(&snapshot.to_json()).unwrap_err();
-        assert!(matches!(err, SnapshotError::Schema(_)), "{err}");
+        let text = sample_snapshot().to_json();
+        for bad in ["0", "5", "99"] {
+            let stamped = text.replacen("\"version\":4", &format!("\"version\":{bad}"), 1);
+            let err = ServiceSnapshot::from_json(&stamped).unwrap_err();
+            assert!(matches!(err, SnapshotError::Schema(_)), "{err}");
+        }
+        // Deltas exist from v3 on.
+        let delta = ServiceSnapshotDelta {
+            n_tasks: 20,
+            n_workers: 7,
+            shards: vec![],
+            exchange: vec![],
+        }
+        .to_json();
+        for (stamp, ok) in [("2", false), ("3", true), ("4", true), ("5", false)] {
+            let stamped = delta.replacen("\"version\":4", &format!("\"version\":{stamp}"), 1);
+            assert_eq!(
+                ServiceSnapshotDelta::from_json(&stamped).is_ok(),
+                ok,
+                "delta stamped v{stamp}"
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!    must be invisible to the model.
 //! 4. **Mid-handoff persistence** — a snapshot taken after a split (map
 //!    version > 1, materialized seqs) restores into a service that
-//!    resumes in lockstep with the original.
+//!    resumes in lockstep with the original. Delta chains span
+//!    mid-campaign registrations but refuse a moved map.
 //!
 //! Bit-identity runs with gossip off: gossip folds depend on racy
 //! cross-shard timing and are exactly what the recorded event stream (not
@@ -20,7 +21,10 @@
 
 use crowd_core::{synthetic_task, LabelBits, TaskId, TaskSet, Worker, WorkerId, WorkerPool};
 use crowd_geo::Point;
-use crowd_serve::{LabellingService, ServeConfig, ServeError, ShardMap};
+use crowd_serve::{
+    LabellingService, ServeConfig, ServeError, ServiceSnapshotDelta, ShardDelta, ShardMap,
+    SnapshotError,
+};
 use proptest::prelude::*;
 
 fn world(n_tasks: usize, n_workers: usize) -> (TaskSet, WorkerPool) {
@@ -348,6 +352,98 @@ fn registered_worker_survives_snapshot_restore() {
 
     original.shutdown();
     restored.shutdown();
+}
+
+/// A delta chain whose first link records a mid-campaign registration
+/// keeps chaining: base → d1 → d2 compacts to the full snapshot byte for
+/// byte and restores bit-identically. Once a handoff moves the map, no
+/// delta is written and none folds onto the moved base.
+#[test]
+fn delta_chain_spans_a_registration_but_not_a_moved_map() {
+    const N_TASKS: usize = 12;
+    const N_WORKERS: usize = 3;
+    let (tasks, workers) = world(N_TASKS, N_WORKERS);
+    let stream = answer_stream(N_WORKERS, N_TASKS);
+    let third = stream.len() / 3;
+
+    let service = LabellingService::start(&tasks, &workers, quiet_config(2, 200));
+    let handle = service.handle();
+    let feed = |pairs: &[(WorkerId, TaskId)]| {
+        for &(w, t) in pairs {
+            handle.submit_wait(w, t, bits_for(w, t)).unwrap();
+        }
+    };
+    feed(&stream[..third]);
+    let base = service.snapshot();
+    let newcomer = service
+        .register_worker(Worker::at("late-joiner", Point::new(0.4, 0.6)))
+        .unwrap();
+    feed(&stream[third..2 * third]);
+    feed(&[0, 3, 5].map(|t| (newcomer, TaskId::from_index(t))));
+    let d1 = service.snapshot_delta(&base.cursors()).unwrap();
+    feed(&stream[2 * third..]);
+    feed(&[7, 9].map(|t| (newcomer, TaskId::from_index(t))));
+    let d2 = service.snapshot_delta(&d1.cursors()).unwrap();
+
+    let full = service.snapshot();
+    let compacted = base.compact(&[d1.clone(), d2.clone()]).unwrap();
+    assert_eq!(compacted.to_json(), full.to_json());
+    let chained =
+        LabellingService::restore_chain(&tasks, &workers, &base, [Ok(d1), Ok(d2)]).unwrap();
+    assert_eq!(chained.n_workers(), N_WORKERS + 1);
+    assert_bit_identical(&service, &chained);
+    chained.shutdown();
+
+    // Move a cell: the service writes no delta any more, and an otherwise
+    // contiguous empty delta does not fold onto the moved base.
+    let map = service.map();
+    let (cell, to) = (0..map.n_cells())
+        .find_map(|c| {
+            let from = map.shard_of_cell(c);
+            (map.tasks_of(from).len() > map.cell_tasks(c).len() && !map.cell_tasks(c).is_empty())
+                .then_some((c, (from + 1) % map.n_shards()))
+        })
+        .expect("a 2-shard map over 12 tasks has a movable cell");
+    service.reassign_cell(cell, to).unwrap();
+    assert!(matches!(
+        service.snapshot_delta(&full.cursors()),
+        Err(SnapshotError::Mismatch(_))
+    ));
+    let moved = service.snapshot();
+    assert!(moved.map.is_some());
+    let empty = ServiceSnapshotDelta {
+        n_tasks: moved.n_tasks,
+        n_workers: moved.n_workers,
+        shards: moved
+            .shards
+            .iter()
+            .zip(moved.cursors())
+            .map(|(s, since)| ShardDelta {
+                shard: s.shard,
+                since,
+                budget_used: s.budget_used,
+                publishes: s.publishes,
+                answers: Vec::new(),
+                gossip_events: Vec::new(),
+                checkpoint: s.checkpoint.clone(),
+            })
+            .collect(),
+        exchange: moved.exchange.clone(),
+    };
+    let mut map_only = moved.clone();
+    for shard in &mut map_only.shards {
+        shard.seqs = None;
+    }
+    for refused in [&moved, &map_only] {
+        assert!(matches!(
+            refused.compact(std::slice::from_ref(&empty)),
+            Err(SnapshotError::Mismatch(_))
+        ));
+    }
+    let mut unmoved = map_only;
+    unmoved.map = None;
+    assert!(unmoved.compact(&[empty]).is_ok());
+    service.shutdown();
 }
 
 /// Budget rebalance conserves the campaign budget, never strands used

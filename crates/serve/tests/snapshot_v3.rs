@@ -3,9 +3,11 @@
 //!
 //! 1. **Restore-from-parameters ≡ replay restore**, bit for bit, with
 //!    gossip and hardening in the stream (the `--verify` path).
-//! 2. **Upgrades**: v1 and v2 documents still parse and restore exactly as
-//!    recorded, and re-snapshotting an upgraded service emits a v3
-//!    document equivalent to the one a v3-native service would write.
+//! 2. **Upgrades**: v1 and v2 documents (checked in under `fixtures/`,
+//!    written by an earlier build) still parse and restore exactly as
+//!    recorded, re-snapshotting an upgraded service emits the v4 document
+//!    a native service wrote, and v3 delta chains compact like their v4
+//!    twins.
 //! 3. **`compact()` ≡ full snapshot**: folding a delta chain into a base
 //!    yields byte-identical JSON to a one-shot full snapshot at the same
 //!    point, and restores identically.
@@ -88,6 +90,16 @@ fn ingest(service: &LabellingService, pairs: &[(WorkerId, TaskId)]) {
     service.quiesce();
 }
 
+/// The document with every shard's checkpoint cleared: restoring it
+/// replays each shard's whole event stream.
+fn without_checkpoints(snapshot: &ServiceSnapshot) -> ServiceSnapshot {
+    let mut replayed = snapshot.clone();
+    for shard in &mut replayed.shards {
+        shard.checkpoint = None;
+    }
+    replayed
+}
+
 fn assert_services_bit_identical(a: &LabellingService, b: &LabellingService, context: &str) {
     assert_eq!(a.n_shards(), b.n_shards(), "{context}: shard counts");
     for i in 0..a.n_shards() {
@@ -129,12 +141,13 @@ fn param_restore_is_bit_identical_to_replay_restore() {
     assert_eq!(parsed, snapshot);
 
     let fast = LabellingService::restore(&tasks, &workers, &parsed).unwrap();
-    let replay = LabellingService::restore_replay(&tasks, &workers, &parsed).unwrap();
+    let replay =
+        LabellingService::restore(&tasks, &workers, &without_checkpoints(&parsed)).unwrap();
     assert_services_bit_identical(&fast, &replay, "fast vs replay");
     assert_services_bit_identical(&fast, &service, "fast vs live");
     assert_eq!(fast.snapshot().to_json(), replay.snapshot().to_json());
 
-    // restore_verified runs both paths itself and returns the fast one.
+    // restore_verified runs both restores itself and returns the fast one.
     let verified = LabellingService::restore_verified(&tasks, &workers, &parsed).unwrap();
     assert_eq!(verified.snapshot().to_json(), snapshot.to_json());
 
@@ -186,17 +199,19 @@ fn v1_documents_upgrade_to_v3_on_resnapshot() {
               \"shards\":[{\"shard\":0,\"budget\":10,\"budget_used\":1,\
               \"answers\":[{\"w\":0,\"t\":1,\"bits\":\"101\"}]}]}";
     let parsed = ServiceSnapshot::from_json(v1).unwrap();
-    assert_eq!(parsed.version, 1);
     let restored = LabellingService::restore(&tasks, &workers, &parsed).unwrap();
     assert_eq!(restored.answers_total(), 1);
     assert_eq!(restored.budget_used(), 1);
 
-    // Re-snapshot: a v3 document (no checkpoint yet — one answer never
-    // triggered a full sweep) that parses, restores, and stays stable.
+    // Re-snapshot: a current document (no checkpoint yet — one answer
+    // never triggered a full sweep) that parses, restores, and stays stable.
     let upgraded = restored.snapshot();
-    assert_eq!(upgraded.version, crowd_serve::SNAPSHOT_VERSION);
     let text = upgraded.to_json();
-    assert!(text.contains("\"kind\":\"base\""));
+    let stamp = format!(
+        "{{\"version\":{},\"kind\":\"base\",",
+        crowd_serve::SNAPSHOT_VERSION
+    );
+    assert!(text.starts_with(&stamp), "{text}");
     let reparsed = ServiceSnapshot::from_json(&text).unwrap();
     assert_eq!(reparsed, upgraded);
     let again = LabellingService::restore_verified(&tasks, &workers, &reparsed).unwrap();
@@ -206,38 +221,81 @@ fn v1_documents_upgrade_to_v3_on_resnapshot() {
     again.shutdown();
 }
 
+/// The half-stream gossip campaign of `world()` (hardened once), rendered
+/// from one snapshot by an earlier build both as v2 — payloads inline, no
+/// checkpoints — and natively as v4.
+const HALF_STREAM_V2: &str = include_str!("fixtures/half_stream_v2.json");
+const HALF_STREAM_V4: &str = include_str!("fixtures/half_stream_v4.json");
+
 #[test]
 fn v2_documents_upgrade_to_v3_and_match_the_native_path() {
-    // Run a gossiping campaign, export it as a *v2* document (inline
-    // payloads, no checkpoints), restore it (replay path — v2 has no
-    // parameters), and prove the upgraded service re-snapshots to exactly
-    // the v3 document the original service writes natively.
+    // The v2 document restores on the replay path (v2 has no parameters),
+    // and the upgraded service re-snapshots to exactly the v4 document the
+    // original service wrote natively.
     let (tasks, workers) = world();
-    let service = LabellingService::start(&tasks, &workers, gossip_config());
-    let pairs = stream();
-    ingest(&service, &pairs[..pairs.len() / 2]);
-    service.force_full_em();
-
-    let native_v3 = service.snapshot();
-    let v2_text = native_v3.to_json_versioned(2).unwrap();
-    let parsed_v2 = ServiceSnapshot::from_json(&v2_text).unwrap();
-    assert_eq!(parsed_v2.version, 2);
+    let parsed_v2 = ServiceSnapshot::from_json(HALF_STREAM_V2).unwrap();
+    let parsed_v4 = ServiceSnapshot::from_json(HALF_STREAM_V4).unwrap();
     assert!(parsed_v2.shards.iter().all(|s| s.checkpoint.is_none()));
-    assert_eq!(
-        parsed_v2.shards[0].gossip_events, native_v3.shards[0].gossip_events,
-        "v2 inline payloads must carry the same events"
-    );
+    assert!(parsed_v4.shards.iter().all(|s| s.checkpoint.is_some()));
+    for (v2, v4) in parsed_v2.shards.iter().zip(&parsed_v4.shards) {
+        assert_eq!(
+            v2.gossip_events, v4.gossip_events,
+            "v2 inline payloads must carry the same events"
+        );
+    }
+    assert_eq!(parsed_v2.exchange, parsed_v4.exchange);
+    // Parsing and re-rendering the native document reproduces its bytes.
+    assert_eq!(parsed_v4.to_json(), HALF_STREAM_V4);
 
     let upgraded = LabellingService::restore(&tasks, &workers, &parsed_v2).unwrap();
-    assert_services_bit_identical(&upgraded, &service, "v2-upgraded vs live");
+    let native = LabellingService::restore(&tasks, &workers, &parsed_v4).unwrap();
+    assert_services_bit_identical(&upgraded, &native, "v2-upgraded vs native v4");
     assert_eq!(
         upgraded.snapshot().to_json(),
-        native_v3.to_json(),
-        "re-snapshotting a v2-restored service must emit the native v3 document \
+        HALF_STREAM_V4,
+        "re-snapshotting a v2-restored service must emit the native v4 document \
          (checkpoints are re-recorded deterministically during replay)"
     );
-    service.shutdown();
     upgraded.shutdown();
+    native.shutdown();
+}
+
+/// A small v3 chain from an earlier build: a base over the first 48
+/// answers of `stream()`, and a delta stamped v3 over the next 96 plus a
+/// hardening pass.
+const SMALL_BASE_V3: &str = include_str!("fixtures/small_base_v3.json");
+const SMALL_DELTA_V3: &str = include_str!("fixtures/small_delta_v3.json");
+
+#[test]
+fn v3_delta_chains_compact_like_their_v4_twins() {
+    let twin = |text: &str| {
+        let v4 = text.replacen("{\"version\":3,", "{\"version\":4,", 1);
+        assert_ne!(v4, text, "fixture must carry a v3 stamp");
+        v4
+    };
+    let base = ServiceSnapshot::from_json(SMALL_BASE_V3).unwrap();
+    let delta = ServiceSnapshotDelta::from_json(SMALL_DELTA_V3).unwrap();
+    assert!(
+        delta.shards.iter().all(|s| s.checkpoint.is_some()),
+        "the delta must carry the hardening pass"
+    );
+    // The v3 and v4 delta layouts are identical.
+    assert_eq!(delta.to_json(), twin(SMALL_DELTA_V3));
+    let compacted = base.compact(&[delta]).unwrap().to_json();
+    let twin_base = ServiceSnapshot::from_json(&twin(SMALL_BASE_V3)).unwrap();
+    let twin_delta = ServiceSnapshotDelta::from_json(&twin(SMALL_DELTA_V3)).unwrap();
+    assert_eq!(
+        compacted,
+        twin_base.compact(&[twin_delta]).unwrap().to_json(),
+        "a v3 chain must compact to the same bytes as its v4 twin"
+    );
+
+    // The compacted chain restores like any base.
+    let (tasks, workers) = world();
+    let parsed = ServiceSnapshot::from_json(&compacted).unwrap();
+    let restored = LabellingService::restore_verified(&tasks, &workers, &parsed).unwrap();
+    assert_eq!(restored.snapshot().to_json(), compacted);
+    restored.shutdown();
 }
 
 #[test]
@@ -399,7 +457,7 @@ fn pruned_campaigns_snapshot_restore_and_stream_deltas() {
     // restores bit-identically (restore_verified proves it by
     // re-snapshotting) and keeps duplicate detection for pruned pairs.
     assert!(matches!(
-        LabellingService::restore_replay(&tasks, &workers, &parsed),
+        LabellingService::restore(&tasks, &workers, &without_checkpoints(&parsed)),
         Err(SnapshotError::Mismatch(_))
     ));
     let restored = LabellingService::restore_verified(&tasks, &workers, &parsed).unwrap();
