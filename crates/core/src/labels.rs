@@ -128,6 +128,12 @@ impl LabelBits {
         (!(self.bits ^ other.bits) & mask).count_ones() as usize
     }
 
+    /// The verdicts as one word: bit `k` is label `k`'s verdict, and the
+    /// bits from `len()` up are zero.
+    pub(crate) fn word(&self) -> u64 {
+        self.bits
+    }
+
     /// Iterates over the verdicts in label order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len()).map(move |k| (self.bits >> k) & 1 == 1)

@@ -5,12 +5,11 @@
 //!
 //! * [`run_em`] (cold start) / [`EmRun::run`] (warm start) — the production
 //!   path: per-answer terms come from an [`AnswerGeometry`] cache built once
-//!   at submit time, and the per-bit posterior uses the prepared factorised
-//!   form (the arithmetic of
-//!   [`factored_prepared`](crate::model::posterior::factored_prepared))
-//!   with all dot products hoisted to answer level. Bit-identical to the
-//!   naive path (the hoisted expressions are the same arithmetic), just
-//!   without the recomputation.
+//!   at submit time, the mixture dot products are hoisted to answer level,
+//!   and the E-step kernel fills the posterior masses of all of an answer's
+//!   label bits as one block of lanes. Each lane evaluates [`factored`]'s
+//!   expression for its bit, and every accumulator receives its additions
+//!   in the naive order, so the two paths are bit-identical.
 //! * [`run_em_naive`] / [`run_em_from_naive`] — the straightforward
 //!   per-bit [`factored`] sweep, kept as the reference implementation, the
 //!   equivalence-test oracle and the benchmark baseline.
@@ -22,7 +21,7 @@
 //! thread accumulates the task side of the statistics (`Σ P(z)`, `|W(t)|`,
 //! `Σ P(d_t)`) and one scoped helper, spawned once for the whole run, the
 //! worker side (`Σ P(i)`, bit counts, `Σ P(d_w)`). Both sweep every answer
-//! in answer order and compute the shared per-bit masses themselves, so
+//! in answer order and fill each answer's bit block themselves, so
 //! every accumulator cell receives the same additions in the same order as
 //! the sequential sweep — results are **bit-identical by construction**.
 //! Each side then runs its own half of the M-step and its own part of the

@@ -352,16 +352,7 @@ impl OnlineModel {
             }
         }
         let report = report.unwrap_or_else(|| self.run_full_sweep(tasks, log));
-        if let Some(t0) = started {
-            let threads = self.sweep_threads(report.answers_swept);
-            self.recorder.em_rebuild(
-                t0.elapsed(),
-                report.full_sweep,
-                report.answers_swept,
-                threads,
-            );
-        }
-        self.finish_run(report);
+        self.finish_run(started, report);
     }
 
     /// Runs an unconditional full-sweep batch EM (end-of-campaign
@@ -370,16 +361,7 @@ impl OnlineModel {
         let started = self.recorder.is_enabled().then(std::time::Instant::now);
         self.sync_caches(tasks, log);
         let report = self.run_full_sweep(tasks, log);
-        if let Some(t0) = started {
-            let threads = self.sweep_threads(report.answers_swept);
-            self.recorder.em_rebuild(
-                t0.elapsed(),
-                report.full_sweep,
-                report.answers_swept,
-                threads,
-            );
-        }
-        self.finish_run(report);
+        self.finish_run(started, report);
     }
 
     /// Attaches (or clears, with [`RecorderHandle::none`]) the timing
@@ -403,7 +385,19 @@ impl OnlineModel {
         self.geometry.sync(tasks, log, &self.config.fset);
     }
 
-    fn finish_run(&mut self, report: EmReport) {
+    /// Reports the rebuild that began at `started` (when a recorder is
+    /// attached) and resets the per-rebuild state.
+    fn finish_run(&mut self, started: Option<std::time::Instant>, report: EmReport) {
+        if let Some(t0) = started {
+            self.recorder.em_rebuild(
+                t0.elapsed(),
+                report.full_sweep,
+                report.answers_swept,
+                self.sweep_threads(report.answers_swept),
+                report.iterations,
+                report.converged,
+            );
+        }
         self.dirty.clear();
         self.absorbed_since_full = 0;
         self.last_report = Some(report);
@@ -650,9 +644,10 @@ impl OnlineModel {
     /// Right after a full sweep the entire mutable state is a pure
     /// function of `(params, log, peers)`: the sufficient statistics and
     /// the per-answer contribution cache are what one E-pass under the
-    /// converged parameters accumulates (the same [`rebuild_stats`] pass a
-    /// live full sweep runs), the dirty set is clear, and the absorb /
-    /// run counters are zero. Snapshot restore exploits this to *harden
+    /// converged parameters accumulates (the same statistics pass that
+    /// ends every live full sweep, e.g. [`OnlineModel::full_sweep`]), the
+    /// dirty set is clear, and the absorb / run counters are zero.
+    /// Snapshot restore exploits this to *harden
     /// from parameters*: instead of replaying the whole answer log through
     /// incremental EM, it bulk-loads the log, calls this method with the
     /// persisted checkpoint parameters, and replays only the suffix of the
@@ -661,8 +656,6 @@ impl OnlineModel {
     ///
     /// The most recent [`EmReport`] is diagnostics, not model state; it is
     /// reset to `None` here.
-    ///
-    /// [`rebuild_stats`]: OnlineModel::full_sweep
     ///
     /// # Errors
     /// Returns `false` (leaving the estimator untouched) when `params` does

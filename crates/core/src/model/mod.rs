@@ -35,7 +35,7 @@ pub use geometry::AnswerGeometry;
 pub use gossip::{PeerStats, WorkerStatDelta};
 pub use incremental::{OnlineModel, UpdatePolicy};
 pub use params::{InitStrategy, ModelParams, PRIOR_INHERENT_QUALITY};
-pub use posterior::{factored, factored_prepared, naive, AnswerTerms, Posterior, PosteriorInputs};
+pub use posterior::{factored, naive, AnswerTerms, Posterior, PosteriorInputs};
 
 use crate::{LabelBits, TaskId, TaskSet};
 

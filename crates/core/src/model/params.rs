@@ -58,6 +58,10 @@ impl TaskParams {
         self.z[slot]
     }
 
+    pub(crate) fn z_slots(&self, slots: std::ops::Range<usize>) -> &[f64] {
+        &self.z[slots]
+    }
+
     pub(crate) fn set_z_slot(&mut self, slot: usize, value: f64) {
         self.z[slot] = prob::clamp_prob(value);
     }

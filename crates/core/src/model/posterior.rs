@@ -65,9 +65,10 @@ pub struct PosteriorInputs<'a> {
 /// label bit of one answer: the mixture qualities `q̄_w`, `q̄_t`, `q̄`
 /// (Equation 8) and the partial mixtures `g_a` / `h_b` used by the `d_w` /
 /// `d_t` marginals. None of them depend on the label prior `P(z)` or the
-/// observed bit `r`, so the hot path prepares them once per answer and
-/// amortises the dot products over all `|L_t|` bits (see
-/// [`factored_prepared`]).
+/// observed bit `r`, so the EM sweeps prepare them once per answer and
+/// amortise the dot products over all `|L_t|` bits: the sweep kernel fills
+/// the posterior masses of all of an answer's bits as one block of lanes
+/// from these terms, evaluating exactly [`factored`]'s expressions.
 ///
 /// The buffers are reusable scratch — one `AnswerTerms` lives for a whole
 /// E-step sweep, so the inner loop allocates nothing.
@@ -142,139 +143,6 @@ impl AnswerTerms {
     }
 }
 
-/// Computes the posterior of one answer bit from per-answer terms already
-/// [`prepare`](AnswerTerms::prepare)d, in `O(|F|)` with no dot products and
-/// no allocation.
-///
-/// Arithmetic is identical, expression for expression, to [`factored`] —
-/// the terms are merely hoisted out of the per-bit loop — so the two paths
-/// produce bit-identical posteriors. The EM sweeps run the same
-/// `BitMasses` arithmetic without materialising a [`Posterior`].
-#[inline]
-pub fn factored_prepared(
-    terms: &AnswerTerms,
-    pdw: &[f64],
-    pdt: &[f64],
-    pz1: f64,
-    pi1: f64,
-    r: bool,
-    out: &mut Posterior,
-) {
-    let n = terms.g.len();
-    debug_assert_eq!(pdw.len(), n);
-    debug_assert_eq!(pdt.len(), n);
-    debug_assert_eq!(out.dw.len(), n);
-    debug_assert_eq!(out.dt.len(), n);
-
-    let m = BitMasses::new(terms.q, pz1, pi1, r);
-    out.likelihood = m.likelihood;
-    out.z1 = m.z1;
-    out.i1 = m.i1;
-    for (dw, v) in out.dw.iter_mut().zip(mixture_weights(&m, pdw, &terms.g)) {
-        *dw = v;
-    }
-    for (dt, v) in out.dt.iter_mut().zip(mixture_weights(&m, pdt, &terms.h)) {
-        *dt = v;
-    }
-}
-
-/// The `(z, i)` branch masses of one answer bit (Cases 1–4 of Equation 12)
-/// under a prepared quality `q̄`, with the two scalar marginals already
-/// normalised. Both sides of the EM sweep derive everything they
-/// accumulate from this one value, so the task side (`z1`, the `d_t`
-/// mixture) and the worker side (`i1`, the `d_w` mixture) see the same
-/// bits whether they run in one pass or on two threads.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BitMasses {
-    /// `P(r)` — the normaliser.
-    pub(crate) likelihood: f64,
-    /// `P(z = 1 | r)`.
-    pub(crate) z1: f64,
-    /// `P(i_w = 1 | r)`.
-    pub(crate) i1: f64,
-    m_i0: f64,
-    pi1: f64,
-    /// The label prior of the truth value `r` agrees with, and of the one
-    /// it contradicts.
-    p_match: f64,
-    p_miss: f64,
-    inv: f64,
-}
-
-impl BitMasses {
-    #[inline]
-    pub(crate) fn new(q: f64, pz1: f64, pi1: f64, r: bool) -> Self {
-        let pz0 = 1.0 - pz1;
-        let pi0 = 1.0 - pi1;
-        let m_z1_i0 = pz1 * pi0 * 0.5;
-        let m_z0_i0 = pz0 * pi0 * 0.5;
-        // A qualified worker matches the truth with probability q.
-        let (l_z1, l_z0) = if r { (q, 1.0 - q) } else { (1.0 - q, q) };
-        let m_z1_i1 = pz1 * pi1 * l_z1;
-        let m_z0_i1 = pz0 * pi1 * l_z0;
-        let likelihood = m_z1_i0 + m_z0_i0 + m_z1_i1 + m_z0_i1;
-        let inv = 1.0 / likelihood;
-        // Degenerate priors fall back to uninformative posteriors.
-        let (z1, i1) = if likelihood <= 0.0 {
-            (0.5, 0.5)
-        } else {
-            ((m_z1_i0 + m_z1_i1) * inv, (m_z1_i1 + m_z0_i1) * inv)
-        };
-        let (p_match, p_miss) = if r { (pz1, pz0) } else { (pz0, pz1) };
-        Self {
-            likelihood,
-            z1,
-            i1,
-            m_i0: m_z1_i0 + m_z0_i0,
-            pi1,
-            p_match,
-            p_miss,
-            inv,
-        }
-    }
-
-    /// `ln max(P(r), EPS)` — the bit's log-likelihood term.
-    #[inline]
-    pub(crate) fn ln_likelihood(&self) -> f64 {
-        self.likelihood.max(crate::prob::EPS).ln()
-    }
-
-    /// `true` when the bit has zero mass under the priors; its mixture
-    /// posteriors are then uniform (`1 / |F|`).
-    #[inline]
-    pub(crate) fn is_degenerate(&self) -> bool {
-        self.likelihood <= 0.0
-    }
-
-    /// The posterior weight of one mixture component of a non-degenerate
-    /// bit: `p` is its prior and `x` its partial likelihood with the other
-    /// mixture summed out (`g_a` for `d_w`, `h_b` for `d_t`). The `i = 0`
-    /// branches keep the prior. Equal, bit for bit, to
-    /// `p·(m_i0 + P(i)·(P(z=1)·l1 + P(z=0)·l0))/P(r)` with
-    /// `(l1, l0) = r ? (x, 1−x) : (1−x, x)`: the two products are only
-    /// summed in the other order when `r = 0`, and IEEE addition commutes.
-    #[inline]
-    pub(crate) fn mixture(&self, p: f64, x: f64) -> f64 {
-        p * (self.m_i0 + self.pi1 * (self.p_match * x + self.p_miss * (1.0 - x))) * self.inv
-    }
-}
-
-/// The posterior weights of every component of one distance mixture for
-/// bit `m`, in component order: `priors` are the mixture's `P(d = f_j)` and
-/// `partial` its `g_a` or `h_b`. Uniform when the bit is degenerate.
-#[inline]
-pub(crate) fn mixture_weights<'a>(
-    m: &'a BitMasses,
-    priors: &'a [f64],
-    partial: &'a [f64],
-) -> impl Iterator<Item = f64> + 'a {
-    let uniform = m.is_degenerate().then(|| 1.0 / priors.len() as f64);
-    priors
-        .iter()
-        .zip(partial)
-        .map(move |(&p, &x)| uniform.unwrap_or_else(|| m.mixture(p, x)))
-}
-
 /// Computes the posterior in `O(|F|)` using the factorised form.
 ///
 /// The joint of Equation 12 has `2 · 2 · |F| · |F|` states, but the `i_w = 0`
@@ -282,11 +150,12 @@ pub(crate) fn mixture_weights<'a>(
 /// `q = α·f_{d_w} + (1−α)·f_{d_t}` is *linear* in the two mixtures, so each
 /// marginal collapses to a single pass over `F` (see [`AnswerTerms`]).
 ///
-/// This is the convenience single-bit form, allocation-free like the rest
-/// of the E-step; hot loops instead prepare an [`AnswerTerms`] once per
-/// answer and call [`factored_prepared`] per bit, which hoists the dot
-/// products but produces bit-identical results. [`naive`] enumerates the
-/// full joint and is the test oracle for both.
+/// This is the single-bit form and the per-bit oracle of the EM sweeps:
+/// the reference EM calls it for every bit, and the production sweeps
+/// prepare an [`AnswerTerms`] once per answer and fill all of its bits as
+/// one block of lanes, which hoists the dot products but evaluates the
+/// same expressions, so the results are bit-identical. [`naive`]
+/// enumerates the full joint and is the test oracle for this one.
 #[inline]
 pub fn factored(inputs: &PosteriorInputs<'_>, out: &mut Posterior) {
     let n = inputs.fvals.len();
@@ -484,33 +353,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn prepared_path_is_bit_identical_to_factored() {
-        let fset = DistanceFunctionSet::paper_default();
-        let mut terms = AnswerTerms::zeros(3);
-        for d in [0.0, 0.15, 0.6, 1.0] {
-            let fvals = fset.values(d);
-            let pdw = vec![0.25, 0.35, 0.4];
-            let pdt = vec![0.5, 0.2, 0.3];
-            terms.prepare(&pdw, &pdt, &fvals, 0.5);
-            for pz1 in [0.02, 0.5, 0.97] {
-                for pi1 in [0.0, 0.4, 1.0] {
-                    for r in [false, true] {
-                        let inp = inputs_at(pz1, pi1, &pdw, &pdt, &fvals, r);
-                        let mut reference = Posterior::zeros(3);
-                        factored(&inp, &mut reference);
-                        let mut prepared = Posterior::zeros(3);
-                        factored_prepared(&terms, &pdw, &pdt, pz1, pi1, r, &mut prepared);
-                        // Hoisting must not change a single bit.
-                        assert_eq!(prepared, reference, "d={d} pz1={pz1} pi1={pi1} r={r}");
-                    }
-                }
-            }
-        }
-        assert_eq!(terms.n_funcs(), 3);
-        assert!(terms.q() > 0.0);
     }
 
     #[test]

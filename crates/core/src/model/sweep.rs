@@ -1,10 +1,10 @@
 //! The E-step sweep every EM path shares, and its two-thread side split.
 //!
-//! An E-step visits answers in stream order. For each label bit it forms
-//! the branch masses of Equation 12 ([`BitMasses`]) under the current
-//! parameters and adds the bit's marginals to the sufficient statistics.
-//! Those statistics fall into two sides that no accumulator cell
-//! straddles:
+//! An E-step visits answers in stream order. For each answer it fills one
+//! [`BitBlock`]: the branch masses of Equation 12 for every label bit of
+//! the answer under the current parameters, one lane per quantity. The
+//! block's lanes feed the sufficient statistics, which fall into two sides
+//! that no accumulator cell straddles:
 //!
 //! * the **task side** ([`TaskSide`]) — `Σ P(z)`, `|W(t)|`, `Σ P(d_t)` and
 //!   the `z1`/`dt` rows of the per-answer contribution cache. The task
@@ -13,15 +13,21 @@
 //!   `Σ P(d_w)` and the `i1`/`dw` rows. The (peer-pooled) worker M-step
 //!   reads only these and writes only `P(i_w)` and `P(d_w)`.
 //!
+//! Each side adds the block's `z1` or `i1` lane, then each mixture
+//! component's weights in turn, in bit order. So every accumulator cell
+//! receives one addition per bit, in bit order, exactly as the per-bit
+//! reference ([`factored`](crate::model::posterior::factored), which the
+//! naive EM calls) accumulates it.
+//!
 //! A sequential sweep feeds both sides from one pass. The side split
 //! ([`split`]) runs the task side on the calling thread and the worker side
 //! on one scoped helper that lives for the whole EM run. Each thread sweeps
-//! *every* answer in the same order and computes the shared per-bit masses
-//! itself, so every accumulator cell receives the same additions in the
-//! same order as the sequential sweep: the results are bit-identical by
-//! construction. Each side then runs its own half of the M-step and its
-//! own part of the maximum parameter change; `max` is exact, so combining
-//! the two halves changes nothing.
+//! *every* answer in the same order and fills the blocks itself, so every
+//! accumulator cell receives the same additions in the same order as the
+//! sequential sweep: the results are bit-identical by construction. Each
+//! side then runs its own half of the M-step and its own part of the
+//! maximum parameter change; `max` is exact, so combining the two halves
+//! changes nothing.
 //!
 //! The threads meet ([`Meet`]) once per iteration ([`lockstep`]): each
 //! side updates its own parameter half in place and, at the meeting, hands
@@ -38,9 +44,9 @@ use std::sync::Arc;
 use crate::model::em::{EmConfig, EmReport, TaskStats, WorkerStats};
 use crate::model::geometry::AnswerGeometry;
 use crate::model::params::{TaskParams, WorkerParams};
-use crate::model::posterior::{mixture_weights, AnswerTerms, BitMasses};
+use crate::model::posterior::AnswerTerms;
 use crate::model::ModelParams;
-use crate::Answer;
+use crate::{Answer, LabelBits};
 
 /// Read access to both parameter halves during one E-step.
 #[derive(Clone, Copy)]
@@ -71,29 +77,185 @@ pub(crate) enum Llh<'a> {
     Store(&'a mut Vec<f64>),
 }
 
-/// Per-thread scratch of a sweep: the prepared answer terms and the masses
-/// of the current answer's bits.
+/// Per-thread scratch of a sweep: the prepared answer terms and the bit
+/// block of the current answer.
 #[derive(Debug, Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct Scratch {
     terms: AnswerTerms,
     #[cfg_attr(feature = "serde", serde(skip))]
-    masses: Vec<BitMasses>,
+    block: Box<BitBlock>,
 }
 
 impl Scratch {
     pub(crate) fn new(n_funcs: usize) -> Self {
         Self {
             terms: AnswerTerms::zeros(n_funcs),
-            masses: Vec::new(),
+            block: Box::default(),
         }
     }
 }
 
-/// One side's accumulation of an answer from its per-bit masses.
+/// Lane capacity of a [`BitBlock`]: one lane per label a task may carry.
+const LANES: usize = LabelBits::MAX_LABELS;
+
+/// The `(z, i)` branch masses (Cases 1–4 of Equation 12) of every label
+/// bit of one answer, one lane per quantity: lane `k` holds bit `k`. Both
+/// sides of the sweep derive everything they accumulate from one block,
+/// so the task side (`z1`, the `d_t` mixture) and the worker side (`i1`,
+/// the `d_w` mixture) see the same bits whether they run in one pass or
+/// on two threads.
+///
+/// Every lane is the expression
+/// [`factored`](crate::model::posterior::factored) evaluates for that bit,
+/// with the same operands in the same order. Only pure per-answer
+/// subexpressions (`1 − q̄`, `1 − P(i)` and each component's `1 − g_a` /
+/// `1 − h_b`) are evaluated once per answer.
+#[derive(Debug, Clone)]
+pub(crate) struct BitBlock {
+    /// Filled lanes: the answer's label count.
+    n: usize,
+    /// The answer's worker prior `P(i_w = 1)`.
+    pi1: f64,
+    /// `1 / |F|`: every mixture weight of a degenerate bit.
+    uniform: f64,
+    /// `P(r)` — the normaliser.
+    likelihood: [f64; LANES],
+    /// `P(z = 1 | r)`.
+    z1: [f64; LANES],
+    /// `P(i_w = 1 | r)`.
+    i1: [f64; LANES],
+    /// The mass of the two `i = 0` branches.
+    m_i0: [f64; LANES],
+    /// The label prior of the truth value `r` agrees with, and of the one
+    /// it contradicts.
+    p_match: [f64; LANES],
+    p_miss: [f64; LANES],
+    /// `1 / P(r)`.
+    inv: [f64; LANES],
+}
+
+impl Default for BitBlock {
+    fn default() -> Self {
+        Self {
+            n: 0,
+            pi1: 0.0,
+            uniform: 0.0,
+            likelihood: [0.0; LANES],
+            z1: [0.0; LANES],
+            i1: [0.0; LANES],
+            m_i0: [0.0; LANES],
+            p_match: [0.0; LANES],
+            p_miss: [0.0; LANES],
+            inv: [0.0; LANES],
+        }
+    }
+}
+
+impl BitBlock {
+    /// Fills one lane per label bit of an answer under its prepared
+    /// `terms`: `pz` are the answer's `P(z = 1)` slots in label order,
+    /// `verdicts` its verdict word (bit `k` is `r_k`) and `pi1` its
+    /// worker's `P(i = 1)`.
+    #[inline]
+    pub(crate) fn fill(&mut self, terms: &AnswerTerms, pi1: f64, pz: &[f64], verdicts: u64) {
+        let n = pz.len();
+        let q = terms.q();
+        let (not_q, pi0) = (1.0 - q, 1.0 - pi1);
+        self.n = n;
+        self.pi1 = pi1;
+        self.uniform = 1.0 / terms.n_funcs() as f64;
+        let likelihood = &mut self.likelihood[..n];
+        let z1 = &mut self.z1[..n];
+        let i1 = &mut self.i1[..n];
+        let m_i0 = &mut self.m_i0[..n];
+        let p_match = &mut self.p_match[..n];
+        let p_miss = &mut self.p_miss[..n];
+        let inv = &mut self.inv[..n];
+        for k in 0..n {
+            let r = verdicts >> k & 1 == 1;
+            let pz1 = pz[k];
+            let pz0 = 1.0 - pz1;
+            let m_z1_i0 = pz1 * pi0 * 0.5;
+            let m_z0_i0 = pz0 * pi0 * 0.5;
+            // A qualified worker matches the truth with probability q.
+            let (l_z1, l_z0) = if r { (q, not_q) } else { (not_q, q) };
+            let m_z1_i1 = pz1 * pi1 * l_z1;
+            let m_z0_i1 = pz0 * pi1 * l_z0;
+            let total = m_z1_i0 + m_z0_i0 + m_z1_i1 + m_z0_i1;
+            let inv_total = 1.0 / total;
+            // Degenerate priors fall back to uninformative posteriors.
+            let degenerate = total <= 0.0;
+            likelihood[k] = total;
+            z1[k] = if degenerate {
+                0.5
+            } else {
+                (m_z1_i0 + m_z1_i1) * inv_total
+            };
+            i1[k] = if degenerate {
+                0.5
+            } else {
+                (m_z1_i1 + m_z0_i1) * inv_total
+            };
+            m_i0[k] = m_z1_i0 + m_z0_i0;
+            (p_match[k], p_miss[k]) = if r { (pz1, pz0) } else { (pz0, pz1) };
+            inv[k] = inv_total;
+        }
+    }
+
+    /// `P(z = 1 | r)` per bit.
+    pub(crate) fn z1(&self) -> &[f64] {
+        &self.z1[..self.n]
+    }
+
+    /// `P(i_w = 1 | r)` per bit.
+    pub(crate) fn i1(&self) -> &[f64] {
+        &self.i1[..self.n]
+    }
+
+    /// `ln max(P(r), EPS)` per bit, in bit order: the log-likelihood
+    /// terms.
+    fn ln_likelihoods(&self) -> impl Iterator<Item = f64> + '_ {
+        self.likelihood[..self.n]
+            .iter()
+            .map(|&l| l.max(crate::prob::EPS).ln())
+    }
+
+    /// Passes `add` the posterior weight of one mixture component for
+    /// every bit, in bit order: `p` is the component's prior and `x` its
+    /// partial likelihood with the other mixture summed out (`g_a` for
+    /// `d_w`, `h_b` for `d_t`). The `i = 0` branches keep the prior, and a
+    /// degenerate bit (`P(r) ≤ 0`) weighs every component `1 / |F|`.
+    ///
+    /// The weight is `p·(m_i0 + P(i)·(p_match·x + p_miss·(1−x)))/P(r)`,
+    /// equal bit for bit to `factored`'s
+    /// `p·(m_i0 + P(i)·(P(z=1)·l1 + P(z=0)·l0))/P(r)` with
+    /// `(l1, l0) = r ? (x, 1−x) : (1−x, x)`: the two products are only
+    /// summed in the other order when `r = 0`, and IEEE addition commutes.
+    #[inline]
+    pub(crate) fn mixture(&self, p: f64, x: f64, mut add: impl FnMut(f64)) {
+        let n = self.n;
+        let not_x = 1.0 - x;
+        let likelihood = &self.likelihood[..n];
+        let m_i0 = &self.m_i0[..n];
+        let p_match = &self.p_match[..n];
+        let p_miss = &self.p_miss[..n];
+        let inv = &self.inv[..n];
+        for k in 0..n {
+            let v = p * (m_i0[k] + self.pi1 * (p_match[k] * x + p_miss[k] * not_x)) * inv[k];
+            add(if likelihood[k] <= 0.0 {
+                self.uniform
+            } else {
+                v
+            });
+        }
+    }
+}
+
+/// One side's accumulation of an answer from its bit block.
 pub(crate) trait Side {
     /// Adds answer `i`'s share. `terms` holds the answer's prepared
-    /// mixture terms and `masses` one entry per label bit.
+    /// mixture terms and `block` the masses of its label bits.
     fn answer(
         &mut self,
         i: usize,
@@ -101,7 +263,7 @@ pub(crate) trait Side {
         geometry: &AnswerGeometry,
         params: Params<'_>,
         terms: &AnswerTerms,
-        masses: &[BitMasses],
+        block: &BitBlock,
     );
 }
 
@@ -115,10 +277,10 @@ impl<T: Side, W: Side> Side for (T, W) {
         geometry: &AnswerGeometry,
         params: Params<'_>,
         terms: &AnswerTerms,
-        masses: &[BitMasses],
+        block: &BitBlock,
     ) {
-        self.0.answer(i, answer, geometry, params, terms, masses);
-        self.1.answer(i, answer, geometry, params, terms, masses);
+        self.0.answer(i, answer, geometry, params, terms, block);
+        self.1.answer(i, answer, geometry, params, terms, block);
     }
 }
 
@@ -133,23 +295,20 @@ pub(crate) fn sweep<'a>(
     scratch: &mut Scratch,
     mut llh: Llh<'_>,
 ) {
-    let Scratch { terms, masses } = scratch;
+    let Scratch { terms, block } = scratch;
     for (i, answer) in answers {
         let pdw = params.worker.dw(answer.worker);
         terms.prepare(pdw, params.task.dt(answer.task), geometry.fvals(i), alpha);
-        let pi1 = params.worker.inherent(answer.worker);
         let base = geometry.base(i);
-        masses.clear();
-        for (k, r) in answer.bits.iter().enumerate() {
-            let m = BitMasses::new(terms.q(), params.task.z_slot(base + k), pi1, r);
-            match &mut llh {
-                Llh::Skip => {}
-                Llh::Sum(sum) => **sum += m.ln_likelihood(),
-                Llh::Store(lns) => lns.push(m.ln_likelihood()),
-            }
-            masses.push(m);
+        let pz = params.task.z_slots(base..base + answer.bits.len());
+        let pi1 = params.worker.inherent(answer.worker);
+        block.fill(terms, pi1, pz, answer.bits.word());
+        match &mut llh {
+            Llh::Skip => {}
+            Llh::Sum(sum) => **sum = block.ln_likelihoods().fold(**sum, |sum, ln| sum + ln),
+            Llh::Store(lns) => lns.extend(block.ln_likelihoods()),
         }
-        side.answer(i, answer, geometry, params, terms, masses);
+        side.answer(i, answer, geometry, params, terms, block);
     }
 }
 
@@ -313,27 +472,26 @@ impl Side for TaskSide<'_> {
         geometry: &AnswerGeometry,
         params: Params<'_>,
         terms: &AnswerTerms,
-        masses: &[BitMasses],
+        block: &BitBlock,
     ) {
         let n = self.stats.n_funcs;
         let t = answer.task.index();
         let base = geometry.base(i);
-        let pdt = params.task.dt(answer.task);
+        let z1 = block.z1();
         let TaskStats {
             z_sum,
             task_answers,
             dt_sum,
             ..
         } = &mut *self.stats;
-        let z_sum = &mut z_sum[base..base + masses.len()];
+        let z_sum = &mut z_sum[base..base + z1.len()];
         let dt_sum = &mut dt_sum[t * n..(t + 1) * n];
+        let components = params.task.dt(answer.task).iter().zip(terms.h());
         let Some(rows) = self.rows.as_deref_mut() else {
             task_answers[t] += 1;
-            for (z, m) in z_sum.iter_mut().zip(masses) {
-                *z += m.z1;
-                for (s, v) in dt_sum.iter_mut().zip(mixture_weights(m, pdt, terms.h())) {
-                    *s += v;
-                }
+            add_assign(z_sum, z1);
+            for (s, (&p, &x)) in dt_sum.iter_mut().zip(components) {
+                block.mixture(p, x, |v| *s += v);
             }
             return;
         };
@@ -345,15 +503,14 @@ impl Side for TaskSide<'_> {
         } else {
             task_answers[t] += 1;
         }
-        dt_row.fill(0.0);
-        for ((z, z_cached), m) in z_sum.iter_mut().zip(z_row.iter_mut()).zip(masses) {
-            *z += m.z1;
-            *z_cached = m.z1;
-            let weights = mixture_weights(m, pdt, terms.h());
-            for ((s, row), v) in dt_sum.iter_mut().zip(dt_row.iter_mut()).zip(weights) {
+        add_assign(z_sum, z1);
+        z_row.copy_from_slice(z1);
+        for ((s, row), (&p, &x)) in dt_sum.iter_mut().zip(dt_row.iter_mut()).zip(components) {
+            *row = 0.0;
+            block.mixture(p, x, |v| {
                 *s += v;
                 *row += v;
-            }
+            });
         }
     }
 }
@@ -398,11 +555,11 @@ impl Side for WorkerSide<'_> {
         _geometry: &AnswerGeometry,
         params: Params<'_>,
         terms: &AnswerTerms,
-        masses: &[BitMasses],
+        block: &BitBlock,
     ) {
         let n = self.stats.n_funcs;
         let w = answer.worker.index();
-        let pdw = params.worker.dw(answer.worker);
+        let i1 = block.i1();
         let WorkerStats {
             i_sum,
             worker_bits,
@@ -411,13 +568,14 @@ impl Side for WorkerSide<'_> {
         } = &mut *self.stats;
         let i_sum = &mut i_sum[w];
         let dw_sum = &mut dw_sum[w * n..(w + 1) * n];
+        let components = params.worker.dw(answer.worker).iter().zip(terms.g());
         let Some(rows) = self.rows.as_deref_mut() else {
-            worker_bits[w] += masses.len() as u32;
-            for m in masses {
-                *i_sum += m.i1;
-                for (s, v) in dw_sum.iter_mut().zip(mixture_weights(m, pdw, terms.g())) {
-                    *s += v;
-                }
+            worker_bits[w] += i1.len() as u32;
+            for &v in i1 {
+                *i_sum += v;
+            }
+            for (s, (&p, &x)) in dw_sum.iter_mut().zip(components) {
+                block.mixture(p, x, |v| *s += v);
             }
             return;
         };
@@ -427,19 +585,26 @@ impl Side for WorkerSide<'_> {
             *i_sum -= *i_row;
             sub_assign(dw_sum, dw_row);
         } else {
-            worker_bits[w] += masses.len() as u32;
+            worker_bits[w] += i1.len() as u32;
         }
         *i_row = 0.0;
-        dw_row.fill(0.0);
-        for m in masses {
-            *i_sum += m.i1;
-            *i_row += m.i1;
-            let weights = mixture_weights(m, pdw, terms.g());
-            for ((s, row), v) in dw_sum.iter_mut().zip(dw_row.iter_mut()).zip(weights) {
+        for &v in i1 {
+            *i_sum += v;
+            *i_row += v;
+        }
+        for ((s, row), (&p, &x)) in dw_sum.iter_mut().zip(dw_row.iter_mut()).zip(components) {
+            *row = 0.0;
+            block.mixture(p, x, |v| {
                 *s += v;
                 *row += v;
-            }
+            });
         }
+    }
+}
+
+fn add_assign(sums: &mut [f64], new: &[f64]) {
+    for (s, &v) in sums.iter_mut().zip(new) {
+        *s += v;
     }
 }
 
@@ -552,4 +717,98 @@ pub(crate) fn split<A: Send, B: Send, T, W: Send>(
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         (t, w)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::posterior::{factored, Posterior, PosteriorInputs};
+    use crate::DistanceFunctionSet;
+
+    /// Bits a lane test compares: `P(r)`, its log term, `z1`, `i1` and
+    /// every `d_w` then `d_t` weight.
+    fn bits_of(p: &Posterior) -> Vec<u64> {
+        [
+            p.likelihood,
+            p.likelihood.max(crate::prob::EPS).ln(),
+            p.z1,
+            p.i1,
+        ]
+        .iter()
+        .chain(&p.dw)
+        .chain(&p.dt)
+        .map(|v| v.to_bits())
+        .collect()
+    }
+
+    #[test]
+    fn block_lanes_are_bit_identical_to_factored() {
+        let fset = DistanceFunctionSet::paper_default();
+        let (pdw, pdt) = ([0.25, 0.35, 0.4], [0.5, 0.2, 0.3]);
+        // Unclamped label priors, including the exact 0 and 1 a
+        // checkpoint's parameters never hold but the kernel must not mind.
+        let priors = [0.0, 0.02, 0.5, 0.97, 1.0, 0.31, 0.73];
+        // Verdict words with bits set above 31.
+        let words = [0u64, u64::MAX, 0xA5A5_F00F_0123_8001, 0x8000_0000_0000_0001];
+        let mut terms = AnswerTerms::zeros(fset.len());
+        let mut block = BitBlock::default();
+        let mut degenerate = 0;
+        // `[1.0; 3]` makes q̄ = 1: a qualified worker always matches, so
+        // `P(z=1) = P(i=1) = 1` with `r = 0` has zero likelihood.
+        let all_fvals = [0.0, 0.15, 0.6, 1.0]
+            .map(|d| fset.values(d))
+            .into_iter()
+            .chain([vec![1.0; 3]]);
+        for fvals in all_fvals {
+            terms.prepare(&pdw, &pdt, &fvals, 0.5);
+            for pi1 in [0.0, 0.4, 1.0] {
+                for &word in &words {
+                    for n in [1, 10, LabelBits::MAX_LABELS] {
+                        let pz: Vec<f64> = (0..n).map(|k| priors[k % priors.len()]).collect();
+                        block.fill(&terms, pi1, &pz, word);
+                        let lns: Vec<f64> = block.ln_likelihoods().collect();
+                        let mut dw = vec![Vec::new(); 3];
+                        let mut dt = vec![Vec::new(); 3];
+                        for j in 0..3 {
+                            block.mixture(pdw[j], terms.g()[j], |v| dw[j].push(v));
+                            block.mixture(pdt[j], terms.h()[j], |v| dt[j].push(v));
+                        }
+                        for k in 0..n {
+                            let inputs = PosteriorInputs {
+                                pz1: pz[k],
+                                pi1,
+                                pdw: &pdw,
+                                pdt: &pdt,
+                                fvals: &fvals,
+                                alpha: 0.5,
+                                r: word >> k & 1 == 1,
+                            };
+                            let mut expected = Posterior::zeros(3);
+                            factored(&inputs, &mut expected);
+                            degenerate += usize::from(expected.likelihood <= 0.0);
+                            let lane = Posterior {
+                                z1: block.z1()[k],
+                                i1: block.i1()[k],
+                                dw: dw.iter().map(|w| w[k]).collect(),
+                                dt: dt.iter().map(|w| w[k]).collect(),
+                                likelihood: block.likelihood[k],
+                            };
+                            let mut got = bits_of(&lane);
+                            got[1] = lns[k].to_bits();
+                            assert_eq!(
+                                got,
+                                bits_of(&expected),
+                                "lane {k} of {n}: pz1={} pi1={pi1} word={word:#x}",
+                                pz[k]
+                            );
+                        }
+                        assert_eq!(block.z1().len(), n);
+                        assert_eq!(block.i1().len(), n);
+                        assert!(dw.iter().chain(&dt).all(|w| w.len() == n));
+                    }
+                }
+            }
+        }
+        assert!(degenerate > 0, "no zero-likelihood bit was checked");
+    }
 }

@@ -24,8 +24,19 @@ pub trait Recorder: Send + Sync {
     /// unconditional full sweep from a dirty (incremental) sweep;
     /// `answers_swept` is how many answers the sweep visited; `threads`
     /// is the effective E-step thread count the sweep ran with (1 = the
-    /// sequential path).
-    fn em_rebuild(&self, took: Duration, full_sweep: bool, answers_swept: usize, threads: usize);
+    /// sequential path); `iterations` is how many EM iterations it ran,
+    /// and `converged` whether it reached the tolerance before the
+    /// iteration cap. A rebuild's E-step cost is `iterations` ×
+    /// `answers_swept`.
+    fn em_rebuild(
+        &self,
+        took: Duration,
+        full_sweep: bool,
+        answers_swept: usize,
+        threads: usize,
+        iterations: usize,
+        converged: bool,
+    );
 
     /// One assignment round finished: the assigner produced `pairs`
     /// worker–task pairs in `took`.
@@ -80,9 +91,18 @@ impl RecorderHandle {
         full_sweep: bool,
         answers_swept: usize,
         threads: usize,
+        iterations: usize,
+        converged: bool,
     ) {
         if let Some(r) = &self.0 {
-            r.em_rebuild(took, full_sweep, answers_swept, threads);
+            r.em_rebuild(
+                took,
+                full_sweep,
+                answers_swept,
+                threads,
+                iterations,
+                converged,
+            );
         }
     }
 
@@ -111,6 +131,8 @@ mod tests {
             _full_sweep: bool,
             _answers_swept: usize,
             _threads: usize,
+            _iterations: usize,
+            _converged: bool,
         ) {
             self.em.fetch_add(1, Ordering::Relaxed);
         }
@@ -124,7 +146,7 @@ mod tests {
     fn handle_forwards_when_attached_and_noops_when_not() {
         let none = RecorderHandle::default();
         assert!(!none.is_enabled());
-        none.em_rebuild(Duration::ZERO, true, 0, 1); // no-op, no panic
+        none.em_rebuild(Duration::ZERO, true, 0, 1, 0, true); // no-op, no panic
 
         let sink = Arc::new(Counting {
             em: AtomicUsize::new(0),
@@ -133,7 +155,7 @@ mod tests {
         let handle = RecorderHandle::new(sink.clone());
         assert!(handle.is_enabled());
         let clone = handle.clone();
-        handle.em_rebuild(Duration::from_millis(1), false, 7, 2);
+        handle.em_rebuild(Duration::from_millis(1), false, 7, 2, 12, false);
         clone.assignment(Duration::from_millis(2), 3);
         assert_eq!(sink.em.load(Ordering::Relaxed), 1);
         assert_eq!(sink.assign.load(Ordering::Relaxed), 1);

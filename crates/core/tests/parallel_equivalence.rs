@@ -124,7 +124,15 @@ fn assert_same_run(a: &ModelParams, ra: &EmReport, b: &ModelParams, rb: &EmRepor
 struct ThreadLog(Mutex<Vec<usize>>);
 
 impl Recorder for ThreadLog {
-    fn em_rebuild(&self, _took: Duration, _full_sweep: bool, _swept: usize, threads: usize) {
+    fn em_rebuild(
+        &self,
+        _took: Duration,
+        _full_sweep: bool,
+        _swept: usize,
+        threads: usize,
+        _iterations: usize,
+        _converged: bool,
+    ) {
         self.0.lock().unwrap().push(threads);
     }
 
@@ -326,6 +334,120 @@ fn split_frozen_baseline_sweep_matches_sequential_bit_for_bit() {
     log.push(&tasks, extra).unwrap();
     pair.both(|m| m.absorb(&tasks, &extra));
     assert_same_params(pair.sequential.params(), pair.split.params());
+}
+
+/// A log whose tasks carry 1, 10 (Deployment 1) and
+/// `LabelBits::MAX_LABELS` labels, so answers fill one lane, a
+/// Deployment-1 block and every lane of the E-step's bit block in one
+/// sweep: 240 workers answering 2 of 120 tasks each, with verdict words
+/// that set bits above 31.
+fn mixed_width_stream() -> (TaskSet, Vec<Answer>) {
+    let widths = [1, 10, LabelBits::MAX_LABELS];
+    let tasks = TaskSet::new(
+        (0..120)
+            .map(|i| {
+                synthetic_task(
+                    format!("t{i}"),
+                    Point::new((i % 12) as f64 * 0.3, (i / 12) as f64 * 0.3),
+                    widths[i % 3],
+                )
+            })
+            .collect(),
+    );
+    let mut stream = Vec::new();
+    for w in 0..240u64 {
+        for t in [w % 120, (w * 7 + 13) % 120] {
+            let task = TaskId::from_index(t as usize);
+            let n = tasks.n_labels(task);
+            // A splitmix64 step of (w, t): every verdict word bit varies.
+            let mut z = (w << 32 | t).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            stream.push(Answer {
+                worker: WorkerId::from_index(w as usize),
+                task,
+                bits: LabelBits::from_slice(&(0..n).map(|k| z >> k & 1 == 1).collect::<Vec<_>>()),
+                distance: (z >> 40) as f64 / f64::from(1u32 << 24),
+            });
+        }
+    }
+    (tasks, stream)
+}
+
+/// The bit block's lane boundaries: one log mixing 1-, 10- and
+/// 64-label tasks (verdict bits above 31 set) runs the same EM on the
+/// sequential sweep, the side split and the naive per-bit oracle, and
+/// the online model's full and dirty re-sweeps on two threads match
+/// their one-thread twins.
+#[test]
+fn mixed_label_widths_match_naive_and_sequential_bit_for_bit() {
+    let (tasks, stream) = mixed_width_stream();
+    let n_workers = 240;
+    let mut log = AnswerLog::new(tasks.len(), n_workers);
+    for answer in &stream {
+        log.push(&tasks, *answer).expect("distinct pairs");
+    }
+    assert!(log
+        .answers()
+        .iter()
+        .any(|a| a.bits.len() == LabelBits::MAX_LABELS
+            && (32..LabelBits::MAX_LABELS).any(|k| a.bits.get(k))));
+    let config = EmConfig {
+        max_iterations: 12,
+        ..EmConfig::default()
+    };
+    let (naive, naive_report) = run_em_naive(&tasks, &log, &config);
+    for threads in [1, 2] {
+        let (params, report) = run_at(&tasks, &log, &config, threads);
+        assert_same_run(&naive, &naive_report, &params, &report);
+    }
+
+    // Exact policy: every delayed rebuild is a full sweep, the later
+    // ones above the small-log floor.
+    let mut exact = Pair::new(&tasks, n_workers, UpdatePolicy::exact(Some(100)));
+    let mut replay = AnswerLog::new(tasks.len(), n_workers);
+    for answer in &stream {
+        replay.push(&tasks, *answer).unwrap();
+        let mut rebuilt = [false; 2];
+        let mut k = 0;
+        exact.both(|m| {
+            rebuilt[k] = m.on_submit(&tasks, &replay, answer);
+            k += 1;
+        });
+        assert_eq!(rebuilt[0], rebuilt[1]);
+        assert_same_params(exact.sequential.params(), exact.split.params());
+        if rebuilt[0] && replay.len() >= EmParallelism::SMALL_LOG_FLOOR {
+            exact.assert_split_rebuild_matches();
+        }
+    }
+
+    // Dirty re-sweeps: subtract each dirty answer's cached rows, re-add
+    // its fresh block.
+    let policy = UpdatePolicy {
+        full_em_every: None,
+        full_sweep_every: 16,
+        ..UpdatePolicy::default()
+    };
+    let mut dirty = Pair::new(&tasks, n_workers, policy);
+    let fresh = 40;
+    let (settled, recent) = stream.split_at(stream.len() - fresh);
+    let mut log = AnswerLog::new(tasks.len(), n_workers);
+    for answer in settled {
+        log.push(&tasks, *answer).unwrap();
+        dirty.both(|m| m.absorb(&tasks, answer));
+    }
+    dirty.both(|m| m.full_sweep(&tasks, &log));
+    dirty.assert_split_rebuild_matches();
+    for answer in recent {
+        log.push(&tasks, *answer).unwrap();
+        dirty.both(|m| m.absorb(&tasks, answer));
+    }
+    dirty.both(|m| m.full_em(&tasks, &log));
+    let report = dirty.split.last_report().unwrap();
+    assert!(!report.full_sweep, "expected a dirty-set rebuild");
+    assert!(report.answers_swept >= EmParallelism::SMALL_LOG_FLOOR);
+    dirty.assert_split_rebuild_matches();
 }
 
 /// Runs batch EM at `threads` from a fresh VoteShare init.

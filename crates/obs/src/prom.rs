@@ -74,14 +74,33 @@ impl PromText {
     /// lines over the non-empty buckets, a terminal `le="+Inf"`, then
     /// `_sum` and `_count`. Empty histograms still render (with a lone
     /// `+Inf` bucket), so the metric set is stable from startup.
-    #[allow(clippy::cast_precision_loss)]
     pub fn histogram_ns(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &Histogram) {
+        self.histogram_scaled(name, help, labels, h, NS_PER_SEC);
+    }
+
+    /// [`PromText::histogram_ns`] for a histogram of plain counts (an EM
+    /// rebuild's iterations, say), exposed as recorded.
+    pub fn histogram(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &Histogram) {
+        self.histogram_scaled(name, help, labels, h, 1.0);
+    }
+
+    /// Renders `h` with every bucket bound and the sum divided by
+    /// `per_unit`.
+    #[allow(clippy::cast_precision_loss)]
+    fn histogram_scaled(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        h: &Histogram,
+        per_unit: f64,
+    ) {
         self.declare(name, "histogram", help);
         let base = render_labels(labels);
         let mut cum = 0u64;
-        for (upper_ns, count) in h.nonzero_buckets() {
+        for (upper, count) in h.nonzero_buckets() {
             cum += count;
-            let le = upper_ns as f64 / NS_PER_SEC;
+            let le = upper as f64 / per_unit;
             let mut with_le: Vec<(&str, &str)> = labels.to_vec();
             let le_text = format!("{le}");
             with_le.push(("le", &le_text));
@@ -95,7 +114,7 @@ impl PromText {
             render_labels(&with_inf),
             h.count()
         );
-        let _ = writeln!(self.out, "{name}_sum{base} {}", h.sum() as f64 / NS_PER_SEC);
+        let _ = writeln!(self.out, "{name}_sum{base} {}", h.sum() as f64 / per_unit);
         let _ = writeln!(self.out, "{name}_count{base} {}", h.count());
     }
 
@@ -313,6 +332,11 @@ mod tests {
         doc.gauge("queue_depth", "Queued commands.", &[], 4.0);
         doc.histogram_ns("request_seconds", "Latency.", &[("route", "labels")], &h);
         doc.histogram_ns("request_seconds", "Latency.", &[("route", "empty")], &empty);
+        let iterations = Histogram::new();
+        for v in [3u64, 100, 100] {
+            iterations.record(v);
+        }
+        doc.histogram("rebuild_iterations", "Iterations.", &[], &iterations);
         let text = doc.render();
         assert_eq!(
             text.matches("# TYPE http_requests_total counter").count(),
@@ -321,6 +345,12 @@ mod tests {
         );
         assert!(text.contains("request_seconds_count{route=\"labels\"} 4"));
         assert!(text.contains("request_seconds_bucket{route=\"empty\",le=\"+Inf\"} 0"));
+        // Plain counts keep their unit: no nanosecond scaling.
+        assert!(
+            text.contains("rebuild_iterations_bucket{le=\"3\"} 1"),
+            "{text}"
+        );
+        assert!(text.contains("rebuild_iterations_sum 203"));
         validate_exposition(&text).expect("well-formed");
     }
 

@@ -630,6 +630,24 @@ fn metrics_prometheus(state: &ServerState, hub: &ObsHub, m: &ServiceMetrics) -> 
             }
         }
     }
+    // A rebuild's E-step cost is its iterations times the answers it
+    // swept; rebuilds that hit the iteration cap stopped unconverged.
+    for (sweep, rebuilds) in [("full", &hub.em_full), ("dirty", &hub.em_dirty)] {
+        out.histogram(
+            "crowd_em_rebuild_iterations",
+            "EM iterations per rebuild by sweep kind",
+            &[("sweep", sweep)],
+            rebuilds.iterations(),
+        );
+    }
+    for (sweep, rebuilds) in [("full", &hub.em_full), ("dirty", &hub.em_dirty)] {
+        out.counter(
+            "crowd_em_unconverged_total",
+            "EM rebuilds that stopped at the iteration cap without converging",
+            &[("sweep", sweep)],
+            rebuilds.unconverged(),
+        );
+    }
     out.histogram_ns(
         "crowd_assign_seconds",
         "Assignment-round duration",

@@ -14,6 +14,7 @@
 //! it, and a restored service starts a fresh one (documented in
 //! `docs/OBSERVABILITY.md`).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,9 +35,9 @@ pub struct ObsHub {
     /// incremental model update; a triggered delayed rebuild shows up
     /// here *and* in the EM histograms).
     pub apply: Histogram,
-    /// Full-sweep EM rebuild durations.
+    /// Full-sweep EM rebuilds: durations, iterations, unconverged count.
     pub em_full: EmRebuilds,
-    /// Dirty-set EM rebuild durations.
+    /// Dirty-set EM rebuilds: durations, iterations, unconverged count.
     pub em_dirty: EmRebuilds,
     /// Assignment-round durations (the assigner's inner loop).
     pub assign: Histogram,
@@ -56,27 +57,38 @@ pub struct ObsHub {
     pub events_len_series: GaugeSeries,
 }
 
-/// EM rebuild durations of one sweep kind, kept apart by the E-step
-/// thread count each rebuild ran with (1 = sequential, 2 = side split),
-/// so every sample keeps the count it was recorded under.
+/// EM rebuilds of one sweep kind: their durations, kept apart by the
+/// E-step thread count each rebuild ran with (1 = sequential, 2 = side
+/// split) so every sample keeps the count it was recorded under, their
+/// iteration counts, and how many stopped at the iteration cap without
+/// converging.
 #[derive(Debug)]
 pub struct EmRebuilds {
     by_threads: [Histogram; EmParallelism::MAX_SWEEP_THREADS],
+    iterations: Histogram,
+    unconverged: AtomicU64,
 }
 
 impl EmRebuilds {
-    /// Empty histograms.
+    /// Empty histograms and a zero count.
     #[must_use]
     pub fn new() -> Self {
         Self {
             by_threads: [Histogram::new(), Histogram::new()],
+            iterations: Histogram::new(),
+            unconverged: AtomicU64::new(0),
         }
     }
 
-    /// Records one rebuild that ran on `threads` E-step threads.
-    pub fn record(&self, took: Duration, threads: usize) {
+    /// Records one rebuild that ran `iterations` EM iterations on
+    /// `threads` E-step threads, stopping converged or not.
+    pub fn record(&self, took: Duration, threads: usize, iterations: usize, converged: bool) {
         self.by_threads[threads.clamp(1, EmParallelism::MAX_SWEEP_THREADS) - 1]
             .record_duration(took);
+        self.iterations.record(iterations as u64);
+        if !converged {
+            self.unconverged.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// The rebuilds that ran on `threads` (1 or 2) E-step threads.
@@ -96,6 +108,19 @@ impl EmRebuilds {
             total.merge_from(h);
         }
         total
+    }
+
+    /// EM iterations per rebuild.
+    #[must_use]
+    pub fn iterations(&self) -> &Histogram {
+        &self.iterations
+    }
+
+    /// Rebuilds that stopped at the iteration cap without reaching the
+    /// tolerance.
+    #[must_use]
+    pub fn unconverged(&self) -> u64 {
+        self.unconverged.load(Ordering::Relaxed)
     }
 }
 
@@ -148,12 +173,21 @@ impl CoreRecorder {
 }
 
 impl Recorder for CoreRecorder {
-    fn em_rebuild(&self, took: Duration, full_sweep: bool, _answers_swept: usize, threads: usize) {
-        if full_sweep {
-            self.hub.em_full.record(took, threads);
+    fn em_rebuild(
+        &self,
+        took: Duration,
+        full_sweep: bool,
+        _answers_swept: usize,
+        threads: usize,
+        iterations: usize,
+        converged: bool,
+    ) {
+        let rebuilds = if full_sweep {
+            &self.hub.em_full
         } else {
-            self.hub.em_dirty.record(took, threads);
-        }
+            &self.hub.em_dirty
+        };
+        rebuilds.record(took, threads, iterations, converged);
     }
 
     fn assignment(&self, took: Duration, _pairs: usize) {
@@ -169,10 +203,10 @@ mod tests {
     fn core_recorder_splits_em_by_sweep_kind() {
         let hub = Arc::new(ObsHub::new());
         let rec = CoreRecorder::new(Arc::clone(&hub));
-        rec.em_rebuild(Duration::from_micros(5), true, 100, 2);
-        rec.em_rebuild(Duration::from_micros(2), false, 10, 1);
-        rec.em_rebuild(Duration::from_micros(3), false, 12, 1);
-        rec.em_rebuild(Duration::from_micros(7), true, 50, 1);
+        rec.em_rebuild(Duration::from_micros(5), true, 100, 2, 100, false);
+        rec.em_rebuild(Duration::from_micros(2), false, 10, 1, 4, true);
+        rec.em_rebuild(Duration::from_micros(3), false, 12, 1, 6, true);
+        rec.em_rebuild(Duration::from_micros(7), true, 50, 1, 9, true);
         rec.assignment(Duration::from_micros(1), 4);
         assert_eq!(hub.em_full.total().count(), 2);
         assert_eq!(hub.em_dirty.total().count(), 2);
@@ -184,5 +218,12 @@ mod tests {
         assert_eq!(hub.em_full.threads(1).sum(), 7_000);
         assert_eq!(hub.em_dirty.threads(1).count(), 2);
         assert!(hub.em_dirty.threads(2).is_empty());
+        // Iterations and unconverged rebuilds, per sweep kind.
+        assert_eq!(hub.em_full.iterations().count(), 2);
+        assert_eq!(hub.em_full.iterations().sum(), 109);
+        assert_eq!(hub.em_full.iterations().max(), 100);
+        assert_eq!(hub.em_dirty.iterations().sum(), 10);
+        assert_eq!(hub.em_full.unconverged(), 1);
+        assert_eq!(hub.em_dirty.unconverged(), 0);
     }
 }

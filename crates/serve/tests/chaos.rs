@@ -11,7 +11,9 @@
 //!    replay of its recorded event stream — answers in arrival order with
 //!    registrations applied at their recorded positions — and the whole
 //!    service survives a snapshot → restore round trip. The live services
-//!    sweep EM on two threads and the replay on one.
+//!    sweep EM on two threads and the replay on one; the budgets fill
+//!    shards past the small-log floor, so some of every campaign's live
+//!    rebuilds run the side split.
 //!
 //! Gossip stays off here: the storm already republishes the map under
 //! racing traffic, and the gossip × ingestion race has its own suite in
@@ -26,7 +28,7 @@ use crowd_core::{
 use crowd_geo::Point;
 use crowd_serve::{CampaignPool, GossipEventKind, LabellingService, ServeConfig};
 
-const N_TASKS: usize = 40;
+const N_TASKS: usize = 200;
 const N_WORKERS: usize = 12;
 
 fn world() -> (TaskSet, WorkerPool) {
@@ -35,7 +37,7 @@ fn world() -> (TaskSet, WorkerPool) {
             .map(|i| {
                 synthetic_task(
                     format!("t{i}"),
-                    Point::new((i % 8) as f64, (i / 8) as f64 * 1.7),
+                    Point::new((i % 20) as f64, (i / 20) as f64 * 1.7),
                     4,
                 )
             })
@@ -59,7 +61,8 @@ fn world() -> (TaskSet, WorkerPool) {
 /// runner's core count, and the replay oracle ([`sequential`]) with one
 /// thread, so a replay comparison checks the split sweep against the
 /// sequential one whenever a shard's rebuild clears the small-log floor
-/// (`EmParallelism::effective`).
+/// (`EmParallelism::effective`): a shard's second delayed rebuild, at 200
+/// answers, does.
 fn split_policy() -> UpdatePolicy {
     UpdatePolicy {
         parallelism: EmParallelism::Fixed(2),
@@ -215,8 +218,8 @@ fn audit_campaign(
 fn split_merge_storm_with_registration_across_two_campaigns() {
     let (tasks, workers) = world();
     let pool = CampaignPool::new(4, 64, 32);
-    let budget_a = 160;
-    let budget_b = 120;
+    let budget_a = 1000;
+    let budget_b = 900;
     let campaign_a = pool.attach(
         &tasks,
         &workers,
@@ -346,6 +349,19 @@ fn split_merge_storm_with_registration_across_two_campaigns() {
     });
     campaign_a.quiesce();
     campaign_b.quiesce();
+
+    // The live services ran the side split: some rebuild in each campaign
+    // swept past the small-log floor on two threads, so the replay audit
+    // below checks split sweeps against the sequential replay.
+    for campaign in [&campaign_a, &campaign_b] {
+        let obs = campaign.obs();
+        let split = obs.em_full.threads(2).count() + obs.em_dirty.threads(2).count();
+        assert!(
+            split > 0,
+            "campaign {}: no rebuild ran the side split",
+            campaign.campaign_id()
+        );
+    }
 
     // Registrations landed on both campaigns, independently.
     assert_eq!(campaign_a.n_workers(), N_WORKERS + 3);

@@ -636,6 +636,10 @@ fn prometheus_exposition_is_well_formed() {
         "crowd_apply_seconds_bucket",
         "crowd_em_rebuild_seconds_count{sweep=\"full\",threads=\"1\"}",
         "crowd_em_rebuild_seconds_count{sweep=\"dirty\",threads=\"1\"}",
+        "crowd_em_rebuild_iterations_count{sweep=\"full\"}",
+        "crowd_em_rebuild_iterations_count{sweep=\"dirty\"}",
+        "crowd_em_unconverged_total{sweep=\"full\"}",
+        "crowd_em_unconverged_total{sweep=\"dirty\"}",
         "crowd_shard_em_threads{shard=\"0\"}",
         "crowd_gossip_round_seconds_count",
         "crowd_shard_queue_hwm{shard=\"0\"}",
@@ -652,6 +656,18 @@ fn prometheus_exposition_is_well_formed() {
             .unwrap_or_else(|| panic!("no sample for {family}"))
     };
     assert!(count_of("crowd_em_rebuild_seconds_count{sweep=\"full\",threads=\"1\"}") >= 1.0);
+    // Every timed rebuild also records its iteration count.
+    let full_rebuilds: f64 = (1..=2)
+        .filter_map(|threads| {
+            let family =
+                format!("crowd_em_rebuild_seconds_count{{sweep=\"full\",threads=\"{threads}\"}}");
+            body.contains(&family).then(|| count_of(&family))
+        })
+        .sum();
+    assert_eq!(
+        count_of("crowd_em_rebuild_iterations_count{sweep=\"full\"}"),
+        full_rebuilds
+    );
     assert!(count_of("crowd_gossip_round_seconds_count") >= 1.0);
     assert!(count_of("crowd_queue_wait_seconds_count") >= issued as f64);
 
